@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "common/memory_accounting.h"
 #include "common/stats.h"
@@ -84,7 +85,8 @@ CellMetrics RunCell(const QueryFactory& factory) {
     cell.throughput_tps = static_cast<double>(q.source->tuples_processed()) /
                           (static_cast<double>(active_ns) / 1e9);
   }
-  if (q.sink->latency_samples() > 0) {
+  cell.latency_samples = q.sink->latency_samples();
+  if (cell.latency_samples > 0) {
     cell.latency_ms = q.sink->mean_latency_ms();
     cell.latency_p50_ms = q.sink->latency_percentile_ms(50);
     cell.latency_p99_ms = q.sink->latency_percentile_ms(99);
@@ -146,7 +148,8 @@ metrics::QueryVariantResult AggregateCell(const std::string& query,
     CellMetrics cell = RunCell(factory);
     if (raw != nullptr) raw->push_back(cell);
     tput.Add(cell.throughput_tps);
-    latency.Add(cell.latency_ms);
+    // A rep without latency samples has no latency to average in.
+    if (cell.latency_samples > 0) latency.Add(cell.latency_ms);
     avg_mem.Add(cell.avg_mem_mb);
     max_mem.Add(cell.max_mem_mb);
     records.Add(static_cast<double>(cell.provenance_records));
@@ -221,6 +224,10 @@ CellMetrics MeanCells(const std::vector<CellMetrics>& cells) {
   CellMetrics mean;
   if (cells.empty()) return mean;
   const double n = static_cast<double>(cells.size());
+  double latency_reps = 0;
+  for (const CellMetrics& c : cells) {
+    if (c.latency_samples > 0) ++latency_reps;
+  }
   uint64_t sink_tuples = 0;
   uint64_t provenance_records = 0;
   uint64_t provenance_bytes = 0;
@@ -230,9 +237,12 @@ CellMetrics MeanCells(const std::vector<CellMetrics>& cells) {
   uint64_t wire_encoded_bytes = 0;
   for (const CellMetrics& c : cells) {
     mean.throughput_tps += c.throughput_tps / n;
-    mean.latency_ms += c.latency_ms / n;
-    mean.latency_p50_ms += c.latency_p50_ms / n;
-    mean.latency_p99_ms += c.latency_p99_ms / n;
+    if (c.latency_samples > 0) {
+      mean.latency_samples += c.latency_samples;
+      mean.latency_ms += c.latency_ms / latency_reps;
+      mean.latency_p50_ms += c.latency_p50_ms / latency_reps;
+      mean.latency_p99_ms += c.latency_p99_ms / latency_reps;
+    }
     mean.avg_mem_mb += c.avg_mem_mb / n;
     mean.max_mem_mb += c.max_mem_mb / n;
     mean.mean_origins += c.mean_origins / n;
@@ -290,12 +300,20 @@ void WriteBenchJson(const std::string& bench, const BenchEnv& env,
   std::fprintf(f, ",\n  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const BenchJsonRow& r = rows[i];
+    // A row without latency samples has no latency: null, not 0.
+    auto latency = [&r](double ms) -> std::string {
+      if (r.mean.latency_samples == 0) return "null";
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.4f", ms);
+      return buf;
+    };
     std::fprintf(
         f,
         "    {\"query\": \"%s\", \"variant\": \"%s\", \"deployment\": \"%s\", "
         "\"batch_size\": %zu, \"reps\": %d, "
-        "\"throughput_tps\": %.1f, \"latency_ms\": %.4f, "
-        "\"latency_p50_ms\": %.4f, \"latency_p99_ms\": %.4f, "
+        "\"throughput_tps\": %.1f, \"latency_samples\": %llu, "
+        "\"latency_ms\": %s, \"latency_p50_ms\": %s, "
+        "\"latency_p99_ms\": %s, "
         "\"avg_mem_mb\": %.2f, \"max_mem_mb\": %.2f, "
         "\"sink_tuples\": %llu, \"provenance_records\": %llu, "
         "\"provenance_bytes\": %llu, \"network_bytes\": %llu, "
@@ -303,8 +321,12 @@ void WriteBenchJson(const std::string& bench, const BenchEnv& env,
         "\"wire_encoded_bytes\": %llu, "
         "\"traversal\": [",
         r.query.c_str(), r.variant.c_str(), r.deployment.c_str(), r.batch_size,
-        r.reps, r.mean.throughput_tps, r.mean.latency_ms, r.mean.latency_p50_ms,
-        r.mean.latency_p99_ms, r.mean.avg_mem_mb, r.mean.max_mem_mb,
+        r.reps, r.mean.throughput_tps,
+        static_cast<unsigned long long>(r.mean.latency_samples),
+        latency(r.mean.latency_ms).c_str(),
+        latency(r.mean.latency_p50_ms).c_str(),
+        latency(r.mean.latency_p99_ms).c_str(), r.mean.avg_mem_mb,
+        r.mean.max_mem_mb,
         static_cast<unsigned long long>(r.mean.sink_tuples),
         static_cast<unsigned long long>(r.mean.provenance_records),
         static_cast<unsigned long long>(r.mean.provenance_bytes),

@@ -94,6 +94,10 @@ uint64_t SerializedBytes(const std::vector<IntrusivePtr<T>>& data) {
 
 struct CellMetrics {
   double throughput_tps = 0;
+  // Sink latency, meaningful only when latency_samples > 0: a run shorter
+  // than the warm-up records none, and its latency fields stay 0 without
+  // being a measurement.
+  uint64_t latency_samples = 0;
   double latency_ms = 0;
   double latency_p50_ms = 0;
   double latency_p99_ms = 0;
@@ -140,7 +144,9 @@ struct BenchJsonRow {
   CellMetrics mean;  // per-field mean over the repetitions
 };
 
-// Per-field mean over repeated cells (empty input yields zeros).
+// Per-field mean over repeated cells (empty input yields zeros). Latency is
+// averaged over the cells that recorded samples only; latency_samples is
+// their sum, so 0 means no cell measured latency.
 CellMetrics MeanCells(const std::vector<CellMetrics>& cells);
 
 // Writes the shared `"spsc_ring": ..., "adaptive_batch": ...,

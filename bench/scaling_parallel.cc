@@ -91,7 +91,7 @@ CellResult RunOnce(const SgWorkload& workload, const BenchEnv& env,
       .Aggregate<DailyConsumption>("agg.kde", AggregateOptions{168, 168},
                                    HeavyKde())
       .Sink("K");
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
 
   const int64_t t0 = NowNanos();
   flow.Run();
@@ -99,10 +99,9 @@ CellResult RunOnce(const SgWorkload& workload, const BenchEnv& env,
 
   CellResult r;
   r.wall_s = static_cast<double>(t1 - t0) / 1e9;
-  const double emitted =
-      static_cast<double>(flow.source()->tuples_processed());
+  const double emitted = static_cast<double>(flow.source->tuples_processed());
   r.items_per_s = r.wall_s > 0 ? emitted / r.wall_s : 0;
-  r.sink_tuples = flow.sink()->count();
+  r.sink_tuples = flow.sink->count();
   r.provenance_records = flow.provenance_records();
   return r;
 }

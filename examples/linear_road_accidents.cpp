@@ -4,8 +4,8 @@
 //
 // The whole query is one typed operator chain; setting
 // ProvenanceMode::kGenealog makes Build() weave the SU + provenance sink in
-// automatically (compare src/queries/q2.cc, the hand-assembled deployment
-// version of the same query).
+// automatically (src/queries/q2.cc builds the same query, with the paper's
+// distributed split as one At(2) cut).
 //
 //   $ ./build/examples/linear_road_accidents [n_cars] [duration_s]
 #include <cstdio>
@@ -87,14 +87,13 @@ int main(int argc, char** argv) {
             static_cast<long long>(stats.pos),
             static_cast<long long>(stats.count));
       });
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   flow.Run();
 
   std::printf("\nprocessed %llu reports, %llu accident alerts, "
               "%llu provenance records (avg %.1f reports per alert)\n",
-              static_cast<unsigned long long>(
-                  flow.source()->tuples_processed()),
-              static_cast<unsigned long long>(flow.sink()->count()),
+              static_cast<unsigned long long>(flow.source->tuples_processed()),
+              static_cast<unsigned long long>(flow.sink->count()),
               static_cast<unsigned long long>(flow.provenance_records()),
               flow.mean_origins_per_record());
   return 0;

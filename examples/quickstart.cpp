@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
         std::printf("ALERT  ts=%-4lld %s\n", static_cast<long long>(t->ts),
                     t->DebugPayload().c_str());
       });
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
 
   // 4. Run to completion (one thread per operator, deterministic merges).
   flow.Run();

@@ -20,13 +20,13 @@ using dataflow_internal::Plan;
 using dataflow_internal::PlanInput;
 using dataflow_internal::PlanOp;
 
-ChannelEnds AddChannel(BuiltDataflow& out, bool use_tcp) {
+ChannelEnds AddChannel(BuiltQuery& out, bool use_tcp) {
   return AddChannelTo(out.channels, use_tcp);
 }
 
 // Adds a Send node carrying the engine's wire-codec knobs and registers it
-// for BuiltDataflow::wire_stats(). Mirrors queries::AddSend.
-SendNode* WeaveSend(BuiltDataflow& out, Topology& topo,
+// for BuiltQuery::wire_stats().
+SendNode* WeaveSend(BuiltQuery& out, Topology& topo,
                     const std::string& name, ByteChannel* channel,
                     const EngineOptions& engine) {
   auto* send = topo.Add<SendNode>(name, channel, WireCodecFrom(engine));
@@ -36,8 +36,8 @@ SendNode* WeaveSend(BuiltDataflow& out, Topology& topo,
 
 // Inserts an SU (fused, or the composed Figure 5B construction) whose SO
 // output feeds `so_consumer` and U output feeds `u_consumer`; returns the
-// node the delivering stream connects to. Mirrors queries::AddSu.
-Node* WeaveSu(BuiltDataflow& out, Topology& topo, bool composed,
+// node the delivering stream connects to.
+Node* WeaveSu(BuiltQuery& out, Topology& topo, bool composed,
               const std::string& name, Node* so_consumer, Node* u_consumer) {
   if (composed) {
     ComposedSu su = BuildComposedSu(topo, name);
@@ -71,7 +71,7 @@ MuEnds WeaveMu(Topology& topo, bool composed, const std::string& name,
 
 }  // namespace
 
-void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
+void LowerDataflow(const Plan& plan, BuiltQuery& out) {
   const DataflowOptions& opts = plan.options;
   const EngineOptions& engine = opts.engine;
   const ProvenanceMode mode = opts.mode;
@@ -181,7 +181,9 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
     entry_of[i] = exit_of[i] = node_of[i];
     switch (op.kind) {
       case OpKind::kSource: {
-        out.sources.push_back(static_cast<SourceNodeBase*>(node_of[i]));
+        if (out.source == nullptr) {
+          out.source = static_cast<SourceNodeBase*>(node_of[i]);
+        }
         if (mode == ProvenanceMode::kBaseline) {
           // BL ships (a copy of) every source stream to the resolver.
           auto* tap = topo.Add<MultiplexNode>("bl.source_tap." + op.name);
@@ -192,7 +194,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
         break;
       }
       case OpKind::kSink:
-        out.sinks.push_back(static_cast<SinkNode*>(node_of[i]));
+        if (out.sink == nullptr) out.sink = static_cast<SinkNode*>(node_of[i]);
         sink_op = i;
         break;
       case OpKind::kOperator:
@@ -236,7 +238,8 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       mu = WeaveMu(*prov_topo, engine.composed_unfolders, "MU",
                    span_of.at(plan.ops[sink_op].instance), psink);
       ChannelEnds ch = AddChannel(out, engine.use_tcp);
-      auto* send_derived = WeaveSend(out, sink_topo, "send.U_sink", ch.send, engine);
+      auto* send_derived =
+          WeaveSend(out, sink_topo, "send.U_sink", ch.send, engine);
       auto* recv_derived =
           prov_topo->Add<ReceiveNode>("recv.U_sink", ch.recv);
       entry_of[sink_op] = WeaveSu(out, sink_topo, engine.composed_unfolders,
@@ -267,7 +270,8 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
           prov_topo->Add<BaselineResolverNode>("bl.resolver", bro);
       out.baseline_resolver = resolver;
       ChannelEnds ch = AddChannel(out, engine.use_tcp);
-      auto* send_ann = WeaveSend(out, sink_topo, "send.sink_ann", ch.send, engine);
+      auto* send_ann =
+          WeaveSend(out, sink_topo, "send.sink_ann", ch.send, engine);
       auto* recv_ann = prov_topo->Add<ReceiveNode>("recv.sink_ann", ch.recv);
       sink_topo.Connect(sink_tap, send_ann);
       prov_topo->Connect(recv_ann, resolver);  // port 0
@@ -276,7 +280,9 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       for (size_t s = 0; s < source_taps.size(); ++s) {
         auto& [src_topo, tap] = source_taps[s];
         ChannelEnds ch_src = AddChannel(out, engine.use_tcp);
-        auto* send_src = WeaveSend(out, *src_topo, "send.source_copy" + std::to_string(s), ch_src.send, engine);
+        auto* send_src =
+            WeaveSend(out, *src_topo, "send.source_copy" + std::to_string(s),
+                      ch_src.send, engine);
         auto* recv_src = prov_topo->Add<ReceiveNode>(
             "recv.source_copy" + std::to_string(s), ch_src.recv);
         src_topo->Connect(tap, send_src);
@@ -306,11 +312,13 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       }
       const std::string tag = std::to_string(n_cross++);
       ChannelEnds ch = AddChannel(out, engine.use_tcp);
-      auto* send = WeaveSend(out, from_topo, "send.data" + tag, ch.send, engine);
+      auto* send =
+          WeaveSend(out, from_topo, "send.data" + tag, ch.send, engine);
       auto* recv = to_topo.Add<ReceiveNode>("recv.data" + tag, ch.recv);
       if (mode == ProvenanceMode::kGenealog) {
         ChannelEnds ch_u = AddChannel(out, engine.use_tcp);
-        auto* send_u = WeaveSend(out, from_topo, "send.U" + tag, ch_u.send, engine);
+        auto* send_u =
+            WeaveSend(out, from_topo, "send.U" + tag, ch_u.send, engine);
         auto* recv_u = prov_topo->Add<ReceiveNode>("recv.U" + tag, ch_u.recv);
         Node* su = WeaveSu(out, from_topo, engine.composed_unfolders,
                            "SU.send" + tag, send, send_u);
@@ -332,13 +340,13 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
   }
 }
 
-uint64_t BuiltDataflow::provenance_records() const {
+uint64_t BuiltQuery::provenance_records() const {
   if (provenance_sink != nullptr) return provenance_sink->records();
   if (baseline_resolver != nullptr) return baseline_resolver->records();
   return 0;
 }
 
-double BuiltDataflow::mean_origins_per_record() const {
+double BuiltQuery::mean_origins_per_record() const {
   if (provenance_sink != nullptr) {
     return provenance_sink->mean_origins_per_record();
   }

@@ -25,8 +25,7 @@
 //    channels — the paper's §7 baseline network cost.
 //
 // EngineOptions::composed_unfolders swaps the fused SU/MU operators for the
-// literal Figure 5B / Figure 8 constructions, exactly like the hand-wired
-// deployments.
+// literal Figure 5B / Figure 8 constructions.
 #ifndef GENEALOG_GENEALOG_INSTRUMENT_H_
 #define GENEALOG_GENEALOG_INSTRUMENT_H_
 
@@ -36,7 +35,7 @@ namespace genealog {
 
 // Lowers `plan` into `out` (empty on entry). Called by Dataflow::Build after
 // validation; the plan is structurally sound by the time it gets here.
-void LowerDataflow(const dataflow_internal::Plan& plan, BuiltDataflow& out);
+void LowerDataflow(const dataflow_internal::Plan& plan, BuiltQuery& out);
 
 }  // namespace genealog
 

@@ -79,8 +79,9 @@ std::string RenderOverheadTable(const std::vector<QueryVariantResult>& rows,
             ? FormatDelta(r.throughput_tps.mean, ref->throughput_tps.mean, false)
                   .c_str()
             : "",
-        FmtCell(r.latency_ms, "%.2f").c_str(),
-        ref != nullptr
+        // No rep recorded a latency sample: there is no latency to show.
+        r.latency_ms.runs == 0 ? "n/a" : FmtCell(r.latency_ms, "%.2f").c_str(),
+        ref != nullptr && r.latency_ms.runs > 0 && ref->latency_ms.runs > 0
             ? FormatDelta(r.latency_ms.mean, ref->latency_ms.mean, true).c_str()
             : "",
         FmtCell(r.avg_mem_mb, "%.2f").c_str(),

@@ -31,7 +31,7 @@ struct QueryVariantResult {
   std::string query;    // "Q1".."Q4"
   std::string variant;  // "NP" / "GL" / "BL"
   CellStats throughput_tps;
-  CellStats latency_ms;
+  CellStats latency_ms;  // runs == 0: no rep recorded a latency sample
   CellStats avg_mem_mb;
   CellStats max_mem_mb;
   // Extras (zero when not applicable):

@@ -6,33 +6,22 @@
 //     layout (2 processing instances + 1 provenance instance, Figs. 7/9C/10C/
 //     11C), connected by serializing channels (in-memory or TCP loopback).
 //
-// The returned BuiltQuery owns the topologies and channels and exposes the
-// probe nodes the benches read: source (throughput), sink (latency), SU nodes
-// (Figure 14 traversal cost), provenance sink / baseline resolver (records,
-// graph sizes, on-disk volume).
+// Each builder records the query's logical plan on the dataflow builder
+// (spe/dataflow.h); Dataflow::Build weaves the SU/MU/provenance machinery
+// from the mode and returns the one query handle, BuiltQuery.
 #ifndef GENEALOG_QUERIES_COMMON_H_
 #define GENEALOG_QUERIES_COMMON_H_
 
-#include <memory>
+#include <functional>
 #include <string>
-#include <vector>
 
+// The probe node types BuiltQuery points at, complete for the callers that
+// read them.
 #include "baseline/resolver.h"
 #include "common/engine_options.h"
-#include "genealog/lineage_query.h"
-#include "genealog/lineage_service.h"
-#include "genealog/lineage_store.h"
-#include "genealog/mu.h"
 #include "genealog/provenance_sink.h"
 #include "genealog/su.h"
-#include "net/channel.h"
-#include "net/send_receive.h"
-#include "spe/aggregate.h"
-#include "spe/join.h"
-#include "spe/sink.h"
-#include "spe/source.h"
-#include "spe/stateless.h"
-#include "spe/topology.h"
+#include "spe/dataflow.h"
 
 namespace genealog::queries {
 
@@ -47,10 +36,10 @@ namespace genealog::queries {
 struct QueryBuildOptions : EngineOptions {
   ProvenanceMode mode = ProvenanceMode::kNone;
   bool distributed = false;
-  // Shard count for the query's key-partitioned aggregate (fluent builders
-  // only; > 1 lowers the stage to KeyPartitionNode -> N replicas -> keyed
-  // merge via `.KeyBy(...).Parallel(n)`). Output is emission-order-identical
-  // to the single-instance build at any value.
+  // Shard count for the query's key-partitioned aggregate (> 1 lowers the
+  // stage to KeyPartitionNode -> N replicas -> keyed merge via
+  // `.KeyBy(...).Parallel(n)`). Output is emission-order-identical to the
+  // single-instance build at any value.
   int parallelism = 1;
   // BL only: let the source store evict tuples that can no longer contribute
   // (an oracle the paper's baseline does not have) — the eviction ablation.
@@ -67,110 +56,8 @@ struct QueryBuildOptions : EngineOptions {
   EngineOptions& engine() { return *this; }
 };
 
-struct BuiltQuery {
-  QueryBuildOptions options;
-  std::string name;
-
-  std::vector<std::unique_ptr<Topology>> topologies;
-  std::vector<std::unique_ptr<ByteChannel>> channels;
-
-  // Probes (non-owning; valid while topologies live).
-  SourceNodeBase* source = nullptr;
-  SinkNode* sink = nullptr;
-  ProvenanceSinkNode* provenance_sink = nullptr;      // GL only
-  BaselineResolverNode* baseline_resolver = nullptr;  // BL only
-  std::vector<SuNode*> su_nodes;  // fused SU per instance (instance order)
-  std::vector<SendNode*> send_nodes;  // one per inter-instance channel
-
-  // Live lineage index (GL with EngineOptions::lineage_store only); fed by
-  // the provenance sink, shared with LineageQuery handles.
-  std::shared_ptr<LineageStore> lineage_store;
-
-  // Remote serving endpoint over the store (lineage_serve_addr non-empty):
-  // started before Run() and kept alive with the query, so a remote console
-  // can ask while the topology executes and after it drains.
-  std::shared_ptr<LineageService> lineage_service;
-
-  // Sum of the stateful window sizes (the MU join window / resolver slack).
-  int64_t total_window_span = 0;
-  int n_instances = 1;
-
-  // Handle for querying lineage while (or after) the query runs. Throws on
-  // use unless the query was built with mode GL and
-  // EngineOptions::lineage_store (GENEALOG_LINEAGE_STORE=1).
-  LineageQuery lineage() const { return LineageQuery(lineage_store); }
-
-  uint64_t network_bytes() const {
-    uint64_t total = 0;
-    for (const auto& c : channels) total += c->bytes_sent();
-    return total;
-  }
-
-  // Aggregated wire-codec accounting across every Send node (frames, raw vs
-  // encoded bytes; see WireStats).
-  WireStats wire_stats() const {
-    WireStats total;
-    for (const SendNode* s : send_nodes) total += s->wire_stats();
-    return total;
-  }
-
-  // Runs all topologies to completion (blocking); a failing node aborts
-  // queues *and* channels, so Receive nodes blocked on a socket or frame
-  // queue unwind too.
-  void Run() { RunTopologies(topologies, channels); }
-};
-
-// Allocates a channel on the query (see AddChannelTo in net/channel.h).
-inline ChannelEnds AddChannel(BuiltQuery& q) {
-  return AddChannelTo(q.channels, q.options.use_tcp);
-}
-
-// Adds a Send node carrying the query's wire-codec knobs and registers it
-// for wire_stats() aggregation.
-inline SendNode* AddSend(BuiltQuery& q, Topology& topology,
-                         const std::string& name, ByteChannel* channel) {
-  auto* send =
-      topology.Add<SendNode>(name, channel, WireCodecFrom(q.options.engine()));
-  q.send_nodes.push_back(send);
-  return send;
-}
-
-// Inserts an SU (fused, or composed per Figure 5B when the ablation option is
-// set) between a delivering stream and its consumers. Returns the node the
-// delivering stream must be connected to. SO feeds `so_consumer`, U feeds
-// `u_consumer`.
-inline Node* AddSu(BuiltQuery& q, Topology& topology, const std::string& name,
-                   Node* so_consumer, Node* u_consumer) {
-  if (q.options.composed_unfolders) {
-    ComposedSu composed = BuildComposedSu(topology, name);
-    topology.Connect(composed.so_node, so_consumer);
-    topology.Connect(composed.u_node, u_consumer);
-    return composed.entry;
-  }
-  auto* su = topology.Add<SuNode>(name);
-  topology.Connect(su, so_consumer);  // output 0 = SO
-  topology.Connect(su, u_consumer);   // output 1 = U
-  q.su_nodes.push_back(su);
-  return su;
-}
-
-// Inserts an MU (fused or composed per Figure 8). Returns {derived input
-// node, upstream input node}; the MU output feeds `consumer`.
-struct MuHandles {
-  Node* derived_entry;
-  Node* upstream_entry;
-};
-inline MuHandles AddMu(BuiltQuery& q, Topology& topology,
-                       const std::string& name, int64_t ws, Node* consumer) {
-  if (q.options.composed_unfolders) {
-    ComposedMu composed = BuildComposedMu(topology, name, ws);
-    topology.Connect(composed.output, consumer);
-    return {composed.derived_entry, composed.upstream_entry};
-  }
-  auto* mu = topology.Add<MuNode>(name, ws);
-  topology.Connect(mu, consumer);
-  return {mu, mu};
-}
+// The query handle is the dataflow builder's (spe/dataflow.h).
+using genealog::BuiltQuery;
 
 }  // namespace genealog::queries
 

@@ -5,8 +5,11 @@
 //  Q3 — Smart grid, long-term blackout detection (Figure 10).
 //  Q4 — Smart grid, midnight-anomaly detection (Figure 11).
 //
-// Each builder assembles the query per the paper's figures in the requested
-// provenance mode and deployment (see queries/common.h).
+// Each builder records the query's logical plan per the paper's figures on
+// the fluent dataflow builder (spe/dataflow.h): the operator chain plus, when
+// `options.distributed`, the paper's split as a single At(2) deployment cut.
+// Dataflow::Build weaves the SU/MU/provenance-sink machinery from
+// `options.mode` (see queries/common.h).
 #ifndef GENEALOG_QUERIES_QUERIES_H_
 #define GENEALOG_QUERIES_QUERIES_H_
 
@@ -33,22 +36,7 @@ BuiltQuery BuildQ2(const lr::LinearRoadData& data, QueryBuildOptions options);
 BuiltQuery BuildQ3(const sg::SmartGridData& data, QueryBuildOptions options);
 BuiltQuery BuildQ4(const sg::SmartGridData& data, QueryBuildOptions options);
 
-// The same four queries on the fluent dataflow builder (spe/dataflow.h):
-// each logical plan in ~20 lines, with the SU/MU/provenance-sink machinery
-// woven automatically from `options.mode` and the paper's distributed split
-// expressed as a single At(2) deployment cut. dataflow_equivalence_test pins
-// their output — sink stream and canonical provenance — to the hand-wired
-// builders above.
-BuiltDataflow BuildQ1Fluent(const lr::LinearRoadData& data,
-                            QueryBuildOptions options);
-BuiltDataflow BuildQ2Fluent(const lr::LinearRoadData& data,
-                            QueryBuildOptions options);
-BuiltDataflow BuildQ3Fluent(const sg::SmartGridData& data,
-                            QueryBuildOptions options);
-BuiltDataflow BuildQ4Fluent(const sg::SmartGridData& data,
-                            QueryBuildOptions options);
-
-// Translates the hand-wired build options into the fluent builder's options;
+// Translates the query build options into the dataflow builder's options;
 // deployment cuts and sink consumers stay per-query.
 inline DataflowOptions ToDataflowOptions(const QueryBuildOptions& options) {
   DataflowOptions opts;

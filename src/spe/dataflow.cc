@@ -112,17 +112,17 @@ void Validate(const dataflow_internal::Plan& plan) {
 
 }  // namespace
 
-BuiltDataflow Dataflow::Build() {
+BuiltQuery Dataflow::Build() {
   if (plan_->built) {
     throw std::logic_error("Dataflow: Build() called twice");
   }
   Validate(*plan_);
   plan_->built = true;
-  BuiltDataflow out;
+  BuiltQuery out;
   LowerDataflow(*plan_, out);
   return out;
 }
 
-void BuiltDataflow::Run() { RunTopologies(topologies, channels); }
+void BuiltQuery::Run() { RunTopologies(topologies, channels); }
 
 }  // namespace genealog

@@ -12,7 +12,7 @@
 //       .Filter("nonzero", [](const Reading& r) { return r.v != 0; })
 //       .Aggregate<Avg>("avg", {60, 30}, key_fn, combiner)
 //       .Sink("alerts", print);
-//   BuiltDataflow flow = df.Build();
+//   BuiltQuery flow = df.Build();
 //   flow.Run();
 //
 // Each combinator records one logical operator in a plan; Build() lowers the
@@ -87,9 +87,8 @@ struct DataflowOptions {
   // Optional per-record observer, called on the provenance-sink thread.
   std::function<void(const ProvenanceRecord&)> provenance_consumer;
   // Event-time slack before a provenance group / resolver join is finalized.
-  // Defaults to the sum of the plan's stateful window spans — the figure the
-  // hand-wired deployments pass — which is always sufficient; override only
-  // to experiment with tighter horizons.
+  // Defaults to the sum of the plan's stateful window spans, which is always
+  // sufficient; override only to experiment with tighter horizons.
   std::optional<int64_t> finalize_slack;
   // BL only: oracle eviction ablation for the baseline source store.
   bool baseline_oracle_eviction = false;
@@ -151,15 +150,18 @@ struct Plan {
 
 }  // namespace dataflow_internal
 
-// The lowered, runnable query: owns the topologies and channels and exposes
-// the probe nodes harnesses read. Probe pointers stay valid while the
-// topologies live.
-struct BuiltDataflow {
+// The lowered, runnable query — the one handle every query build returns
+// (Dataflow::Build, and through it the paper queries' BuildQ1..Q4): owns the
+// topologies and channels and exposes the probe nodes harnesses read: source
+// (throughput), sink (latency), SU nodes (Figure 14 traversal cost),
+// provenance sink / baseline resolver (records, graph sizes, on-disk volume).
+// Probe pointers stay valid while the topologies live.
+struct BuiltQuery {
   std::vector<std::unique_ptr<Topology>> topologies;
   std::vector<std::unique_ptr<ByteChannel>> channels;
 
-  std::vector<SourceNodeBase*> sources;  // in plan order
-  std::vector<SinkNode*> sinks;          // in plan order
+  SourceNodeBase* source = nullptr;  // first source in plan order
+  SinkNode* sink = nullptr;          // first sink in plan order
   ProvenanceSinkNode* provenance_sink = nullptr;      // GL only
   BaselineResolverNode* baseline_resolver = nullptr;  // BL only
   std::vector<SuNode*> su_nodes;    // fused SUs, in weave order
@@ -170,18 +172,13 @@ struct BuiltDataflow {
   std::shared_ptr<LineageStore> lineage_store;
 
   // Remote serving endpoint over the store (lineage_serve_addr non-empty):
-  // started at Build() and kept alive with the dataflow, so a remote console
+  // started at Build() and kept alive with the query, so a remote console
   // can ask while the topology executes and after it drains.
   std::shared_ptr<LineageService> lineage_service;
 
   int n_instances = 1;
   // Sum of the plan's stateful window spans (provenance finalize slack).
   int64_t total_window_span = 0;
-
-  SourceNodeBase* source() const {
-    return sources.empty() ? nullptr : sources.front();
-  }
-  SinkNode* sink() const { return sinks.empty() ? nullptr : sinks.front(); }
 
   uint64_t network_bytes() const {
     uint64_t total = 0;
@@ -202,13 +199,14 @@ struct BuiltDataflow {
   uint64_t provenance_records() const;
   double mean_origins_per_record() const;
 
-  // Handle for querying lineage while (or after) the dataflow runs. Throws
-  // on use unless the plan was built with mode GL and
+  // Handle for querying lineage while (or after) the query runs. Throws on
+  // use unless the plan was built with mode GL and
   // EngineOptions::lineage_store (GENEALOG_LINEAGE_STORE=1).
   LineageQuery lineage() const { return LineageQuery(lineage_store); }
 
-  // Runs all topologies to completion (blocking); rethrows the first node
-  // failure after aborting queues and channels.
+  // Runs all topologies to completion (blocking); a failing node aborts
+  // queues *and* channels, so Receive nodes blocked on a socket or frame
+  // queue unwind too, and the first node failure is rethrown.
   void Run();
 };
 
@@ -409,7 +407,7 @@ class Dataflow {
   // Validates the recorded plan and lowers it (one-shot). Throws
   // std::logic_error on malformed plans: unconsumed or doubly-consumed
   // streams, no source/sink, more than one sink in a provenance mode.
-  BuiltDataflow Build();
+  BuiltQuery Build();
 
   const dataflow_internal::Plan& plan() const { return *plan_; }
 

@@ -1,16 +1,19 @@
-// The fluent dataflow builder must be a pure re-spelling of the hand-wired
-// deployments, for every evaluation query: BuildQ{1..4}Fluent
-// (spe/dataflow.h + genealog/instrument weaving) and the hand-wired
-// BuildQ{1..4} (queries/assemble.h) must produce identical sink streams (in
-// emission order) and byte-identical canonical provenance files (see
-// CanonicalProvenanceBytes in query_helpers.h for what must be masked and
-// why). Q1 is swept across batch {1, 64} x edge {ring, mutex}; Q2–Q4 ride
-// the ring at batch {1, 64} — their plans exercise what Q1 cannot (chained
-// aggregates, window-end emission, Multiplex fan-out, Join), the edge
-// implementation is already pinned by Q1. Everything runs intra and
-// distributed.
+// Every evaluation query, BuildQ{1..4} (spe/dataflow.h lowered by the
+// genealog/instrument weaving), must reproduce a pinned golden output: one
+// 64-bit digest of the emission-order sink stream and the canonical
+// provenance bytes (see CanonicalProvenanceBytes in query_helpers.h for what
+// must be masked and why) per query x {intra, distributed} x batch {1, 64}.
+// The digests were recorded from the hand-wired deployment assembly this
+// lowering replaced, so they pin the output to that independent reference
+// at every sweep point. Q1 is swept across batch {1, 64} x edge {ring,
+// mutex}; Q2–Q4 ride the ring at batch {1, 64} — their plans exercise what
+// Q1 cannot (chained aggregates, window-end emission, Multiplex fan-out,
+// Join), the edge implementation is already pinned by Q1. Distributed sweeps
+// also run the raw and compact wire codecs. The physical plans are pinned
+// too: instance, SU and channel counts per provenance mode and deployment.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -53,11 +56,75 @@ sg::SmartGridData SmallSg() {
   return sg::GenerateSmartGrid(config);
 }
 
+// Golden digests on the datasets above (RunArtifacts::Digest).
+struct Golden {
+  const char* query;
+  bool distributed;
+  size_t batch;
+  uint64_t digest;
+};
+constexpr Golden kGoldens[] = {
+    {"Q1", false, 1, 0x5dbebeb49f4e75e2},
+    {"Q1", false, 64, 0x5dbebeb49f4e75e2},
+    {"Q1", true, 1, 0x5dbebeb49f4e75e2},
+    {"Q1", true, 64, 0x5dbebeb49f4e75e2},
+    {"Q2", false, 1, 0xe67eea760c9436c0},
+    {"Q2", false, 64, 0xe67eea760c9436c0},
+    {"Q2", true, 1, 0xe67eea760c9436c0},
+    {"Q2", true, 64, 0xe67eea760c9436c0},
+    {"Q3", false, 1, 0x13856d78efd50b8f},
+    {"Q3", false, 64, 0x13856d78efd50b8f},
+    {"Q3", true, 1, 0x13856d78efd50b8f},
+    {"Q3", true, 64, 0x13856d78efd50b8f},
+    {"Q4", false, 1, 0x8e31179f8701ba05},
+    {"Q4", false, 64, 0x8e31179f8701ba05},
+    {"Q4", true, 1, 0x8e31179f8701ba05},
+    {"Q4", true, 64, 0x8e31179f8701ba05},
+};
+
+uint64_t GoldenDigest(const std::string& query, bool distributed,
+                      size_t batch) {
+  for (const Golden& g : kGoldens) {
+    if (query == g.query && distributed == g.distributed && batch == g.batch) {
+      return g.digest;
+    }
+  }
+  ADD_FAILURE() << "no golden digest for " << query;
+  return 0;
+}
+
+// 64-bit FNV-1a.
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 struct RunArtifacts {
   std::vector<std::string> ordered_sink;  // emission order
   std::vector<uint8_t> provenance;        // canonical file bytes
   uint64_t records = 0;
+
+  // Each sink line followed by '\n', then the canonical provenance bytes.
+  uint64_t Digest() const {
+    uint64_t h = 14695981039346656037ull;
+    for (const std::string& line : ordered_sink) {
+      h = Fnv1a(h, line.data(), line.size());
+      h = Fnv1a(h, "\n", 1);
+    }
+    return Fnv1a(h, provenance.data(), provenance.size());
+  }
 };
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
 
 QueryBuildOptions MakeOptions(bool distributed, size_t batch, bool spsc,
                               const std::string& file,
@@ -81,116 +148,92 @@ RunArtifacts RunOne(Builder&& builder, const Data& data, bool distributed,
                     size_t batch, bool spsc, const std::string& path,
                     WireCodec codec = WireCodec::kRaw) {
   RunArtifacts out;
-  auto q = builder(data,
-                   MakeOptions(distributed, batch, spsc, path,
-                               out.ordered_sink, codec));
+  BuiltQuery q = builder(data, MakeOptions(distributed, batch, spsc, path,
+                                           out.ordered_sink, codec));
   q.Run();
-  out.records = [&] {
-    if constexpr (requires { q.provenance_records(); }) {
-      return q.provenance_records();  // BuiltDataflow
-    } else {
-      return q.provenance_sink->records();  // BuiltQuery
-    }
-  }();
+  out.records = q.provenance_records();
   out.provenance = CanonicalProvenanceBytes(path);
   std::remove(path.c_str());
   return out;
 }
 
-// The wire codec must be invisible: within each sweep point the hand-wired
-// build runs raw and the fluent build runs each codec in `codecs`, so the
-// compact rows are cross-codec comparisons — one side delta/dictionary
-// encodes its channels, the other does not, and the sinks and canonical
-// provenance bytes must still match exactly. Intra sweeps pass only raw
-// (no channels to encode).
-template <typename HandBuilder, typename FluentBuilder, typename Data>
-void SweepEquivalence(const char* name, HandBuilder hand_builder,
-                      FluentBuilder fluent_builder, const Data& data,
-                      bool distributed, std::vector<bool> spsc_values,
-                      std::vector<WireCodec> codecs = {WireCodec::kRaw}) {
-  const std::string hand_path = ::testing::TempDir() + "/dfeq_hand.bin";
-  const std::string fluent_path = ::testing::TempDir() + "/dfeq_fluent.bin";
+// Checks one run against the golden digest of its (query, deployment,
+// batch) cell.
+void ExpectGolden(const RunArtifacts& run, const std::string& query,
+                  bool distributed, size_t batch) {
+  ASSERT_FALSE(run.ordered_sink.empty());
+  ASSERT_GT(run.records, 0u);
+  EXPECT_EQ(Hex(run.Digest()), Hex(GoldenDigest(query, distributed, batch)))
+      << "sink stream or canonical provenance bytes diverged";
+}
+
+// The wire codec must be invisible: each codec in `codecs` must reproduce
+// the digest recorded with raw channels. Intra sweeps pass only raw (no
+// channels to encode).
+template <typename Builder, typename Data>
+void SweepGolden(const char* name, Builder builder, const Data& data,
+                 bool distributed, std::vector<bool> spsc_values,
+                 std::vector<WireCodec> codecs = {WireCodec::kRaw}) {
+  const std::string path = ::testing::TempDir() + "/dfeq.bin";
   for (const size_t batch : {size_t{1}, size_t{64}}) {
     for (const bool spsc : spsc_values) {
-      const RunArtifacts hand =
-          RunOne(hand_builder, data, distributed, batch, spsc, hand_path);
-      ASSERT_FALSE(hand.ordered_sink.empty());
-      ASSERT_GT(hand.records, 0u);
       for (const WireCodec codec : codecs) {
         SCOPED_TRACE(std::string(name) + " batch " + std::to_string(batch) +
                      " spsc " + std::to_string(spsc) + " codec " +
                      (codec == WireCodec::kCompact ? "compact" : "raw"));
-        const RunArtifacts fluent = RunOne(fluent_builder, data, distributed,
-                                           batch, spsc, fluent_path, codec);
-        EXPECT_EQ(fluent.ordered_sink, hand.ordered_sink);
-        EXPECT_EQ(fluent.records, hand.records);
-        EXPECT_EQ(fluent.provenance, hand.provenance)
-            << "canonical provenance bytes diverged";
+        ExpectGolden(
+            RunOne(builder, data, distributed, batch, spsc, path, codec),
+            name, distributed, batch);
       }
     }
   }
 }
 
 TEST(DataflowEquivalenceTest, Q1GenealogIntra) {
-  SweepEquivalence("Q1", BuildQ1, BuildQ1Fluent, SmallLr(),
-                   /*distributed=*/false, {true, false});
+  SweepGolden("Q1", BuildQ1, SmallLr(), /*distributed=*/false, {true, false});
 }
 
 TEST(DataflowEquivalenceTest, Q1GenealogDistributed) {
-  SweepEquivalence("Q1", BuildQ1, BuildQ1Fluent, SmallLr(),
-                   /*distributed=*/true, {true, false},
-                   {WireCodec::kRaw, WireCodec::kCompact});
+  SweepGolden("Q1", BuildQ1, SmallLr(), /*distributed=*/true, {true, false},
+              {WireCodec::kRaw, WireCodec::kCompact});
 }
 
 TEST(DataflowEquivalenceTest, Q2GenealogIntra) {
-  SweepEquivalence("Q2", BuildQ2, BuildQ2Fluent, AccidentLr(),
-                   /*distributed=*/false, {true});
+  SweepGolden("Q2", BuildQ2, AccidentLr(), /*distributed=*/false, {true});
 }
 
 TEST(DataflowEquivalenceTest, Q2GenealogDistributed) {
-  SweepEquivalence("Q2", BuildQ2, BuildQ2Fluent, AccidentLr(),
-                   /*distributed=*/true, {true},
-                   {WireCodec::kRaw, WireCodec::kCompact});
+  SweepGolden("Q2", BuildQ2, AccidentLr(), /*distributed=*/true, {true},
+              {WireCodec::kRaw, WireCodec::kCompact});
 }
 
 TEST(DataflowEquivalenceTest, Q3GenealogIntra) {
-  SweepEquivalence("Q3", BuildQ3, BuildQ3Fluent, SmallSg(),
-                   /*distributed=*/false, {true});
+  SweepGolden("Q3", BuildQ3, SmallSg(), /*distributed=*/false, {true});
 }
 
 TEST(DataflowEquivalenceTest, Q3GenealogDistributed) {
-  SweepEquivalence("Q3", BuildQ3, BuildQ3Fluent, SmallSg(),
-                   /*distributed=*/true, {true},
-                   {WireCodec::kRaw, WireCodec::kCompact});
+  SweepGolden("Q3", BuildQ3, SmallSg(), /*distributed=*/true, {true},
+              {WireCodec::kRaw, WireCodec::kCompact});
 }
 
 TEST(DataflowEquivalenceTest, Q4GenealogIntra) {
-  SweepEquivalence("Q4", BuildQ4, BuildQ4Fluent, SmallSg(),
-                   /*distributed=*/false, {true});
+  SweepGolden("Q4", BuildQ4, SmallSg(), /*distributed=*/false, {true});
 }
 
 TEST(DataflowEquivalenceTest, Q4GenealogDistributed) {
-  SweepEquivalence("Q4", BuildQ4, BuildQ4Fluent, SmallSg(),
-                   /*distributed=*/true, {true},
-                   {WireCodec::kRaw, WireCodec::kCompact});
+  SweepGolden("Q4", BuildQ4, SmallSg(), /*distributed=*/true, {true},
+              {WireCodec::kRaw, WireCodec::kCompact});
 }
 
-// The key-partitioned lowering (`.KeyBy(car).Parallel(n)` inside
-// BuildQ1Fluent when options.parallelism > 1) must be completely invisible
-// at the sink and in the provenance file: for every shard count, scheduler
-// and batch size, the emission-order sink stream and the canonical
-// provenance bytes must equal the single-instance plan's. The reference runs
-// the plain fluent build at the seed configuration (batch 1,
-// thread-per-node), so this also re-checks batching/scheduler invariance
-// through the partition -> replicas -> keyed-merge diamond.
+// The key-partitioned lowering (`.KeyBy(car).Parallel(n)` inside BuildQ1
+// when options.parallelism > 1) must be completely invisible at the sink and
+// in the provenance file: for every shard count, scheduler and batch size,
+// the run must reproduce the single-instance Q1 digest. This also re-checks
+// batching/scheduler invariance through the partition -> replicas ->
+// keyed-merge diamond.
 TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceIntra) {
   const lr::LinearRoadData data = SmallLr();
-  const std::string ref_path = ::testing::TempDir() + "/dfeq_par_ref.bin";
-  const std::string par_path = ::testing::TempDir() + "/dfeq_par.bin";
-  const RunArtifacts reference = RunOne(
-      BuildQ1Fluent, data, /*distributed=*/false, 1, true, ref_path);
-  ASSERT_FALSE(reference.ordered_sink.empty());
-  ASSERT_GT(reference.records, 0u);
+  const std::string path = ::testing::TempDir() + "/dfeq_par.bin";
   for (const int shards : {1, 2, 4}) {
     for (const SchedulerMode scheduler :
          {SchedulerMode::kThreadPerNode, SchedulerMode::kPool}) {
@@ -204,15 +247,11 @@ TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceIntra) {
           options.parallelism = shards;
           options.scheduler = scheduler;
           if (scheduler == SchedulerMode::kPool) options.workers = 3;
-          return BuildQ1Fluent(d, std::move(options));
+          return BuildQ1(d, std::move(options));
         };
-        const RunArtifacts par = RunOne(parallel_builder, data,
-                                        /*distributed=*/false, batch, true,
-                                        par_path);
-        EXPECT_EQ(par.ordered_sink, reference.ordered_sink);
-        EXPECT_EQ(par.records, reference.records);
-        EXPECT_EQ(par.provenance, reference.provenance)
-            << "canonical provenance bytes diverged";
+        ExpectGolden(RunOne(parallel_builder, data, /*distributed=*/false,
+                            batch, true, path),
+                     "Q1", /*distributed=*/false, batch);
       }
     }
   }
@@ -223,12 +262,7 @@ TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceIntra) {
 // instance) composes with it unchanged.
 TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceDistributed) {
   const lr::LinearRoadData data = SmallLr();
-  const std::string ref_path = ::testing::TempDir() + "/dfeq_pard_ref.bin";
-  const std::string par_path = ::testing::TempDir() + "/dfeq_pard.bin";
-  const RunArtifacts reference = RunOne(
-      BuildQ1Fluent, data, /*distributed=*/true, 1, true, ref_path);
-  ASSERT_FALSE(reference.ordered_sink.empty());
-  ASSERT_GT(reference.records, 0u);
+  const std::string path = ::testing::TempDir() + "/dfeq_pard.bin";
   for (const int shards : {2, 4}) {
     for (const size_t batch : {size_t{1}, size_t{64}}) {
       for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kCompact}) {
@@ -238,60 +272,79 @@ TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceDistributed) {
         auto parallel_builder = [shards](const lr::LinearRoadData& d,
                                          QueryBuildOptions options) {
           options.parallelism = shards;
-          return BuildQ1Fluent(d, std::move(options));
+          return BuildQ1(d, std::move(options));
         };
-        const RunArtifacts par = RunOne(parallel_builder, data,
-                                        /*distributed=*/true, batch, true,
-                                        par_path, codec);
-        EXPECT_EQ(par.ordered_sink, reference.ordered_sink);
-        EXPECT_EQ(par.records, reference.records);
-        EXPECT_EQ(par.provenance, reference.provenance)
-            << "canonical provenance bytes diverged";
+        ExpectGolden(RunOne(parallel_builder, data, /*distributed=*/true,
+                            batch, true, path, codec),
+                     "Q1", /*distributed=*/true, batch);
       }
     }
   }
 }
 
-// The fluent lowering must mirror the hand-wired deployment structurally
-// too: same instance count, same SU placement, same probe surface.
-template <typename HandBuilder, typename FluentBuilder, typename Data>
-void CheckStructure(HandBuilder hand_builder, FluentBuilder fluent_builder,
-                    const Data& data) {
-  {
-    QueryBuildOptions options;
-    options.mode = ProvenanceMode::kGenealog;
-    auto hand = hand_builder(data, options);
-    auto fluent = fluent_builder(data, options);
-    EXPECT_EQ(fluent.n_instances, hand.n_instances);
-    EXPECT_EQ(fluent.su_nodes.size(), hand.su_nodes.size());
-    EXPECT_EQ(fluent.total_window_span, hand.total_window_span);
+// Pinned physical plan of one (mode, deployment) build, recorded alongside
+// the golden digests.
+struct Shape {
+  int n_instances;
+  size_t su_nodes;
+  size_t channels;
+};
+
+// `shapes` in the order NP, GL, BL, each {intra, distributed}.
+template <typename Builder, typename Data>
+void CheckStructure(Builder builder, const Data& data,
+                    int64_t total_window_span,
+                    const std::array<Shape, 6>& shapes) {
+  size_t row = 0;
+  for (const ProvenanceMode mode :
+       {ProvenanceMode::kNone, ProvenanceMode::kGenealog,
+        ProvenanceMode::kBaseline}) {
+    for (const bool distributed : {false, true}) {
+      SCOPED_TRACE(std::string(ToString(mode)) +
+                   (distributed ? " distributed" : " intra"));
+      QueryBuildOptions options;
+      options.mode = mode;
+      options.distributed = distributed;
+      const BuiltQuery q = builder(data, options);
+      const Shape& want = shapes[row++];
+      EXPECT_EQ(q.n_instances, want.n_instances);
+      EXPECT_EQ(q.su_nodes.size(), want.su_nodes);
+      EXPECT_EQ(q.channels.size(), want.channels);
+      EXPECT_EQ(q.total_window_span, total_window_span);
+    }
   }
-  {
-    QueryBuildOptions options;
-    options.mode = ProvenanceMode::kGenealog;
-    options.distributed = true;
-    auto hand = hand_builder(data, options);
-    auto fluent = fluent_builder(data, options);
-    EXPECT_EQ(fluent.n_instances, hand.n_instances);  // 3
-    EXPECT_EQ(fluent.su_nodes.size(), hand.su_nodes.size());
-    EXPECT_EQ(fluent.channels.size(), hand.channels.size());
-  }
 }
 
-TEST(DataflowEquivalenceTest, Q1StructureMatchesHandWired) {
-  CheckStructure(BuildQ1, BuildQ1Fluent, SmallLr());
+// Q1–Q3 deliver one stream across the cut: GL distributed has the sink SU
+// plus one cut SU, and channels data + cut U + sink U; BL distributed ships
+// data, the annotated sink stream and the source copy.
+constexpr std::array<Shape, 6> kOneStreamShapes = {{
+    {1, 0, 0}, {2, 0, 1},  // NP
+    {1, 1, 0}, {3, 2, 3},  // GL
+    {1, 0, 0}, {3, 0, 3},  // BL
+}};
+
+TEST(DataflowEquivalenceTest, Q1StructurePinned) {
+  CheckStructure(BuildQ1, SmallLr(), kQ1WindowSize, kOneStreamShapes);
 }
 
-TEST(DataflowEquivalenceTest, Q2StructureMatchesHandWired) {
-  CheckStructure(BuildQ2, BuildQ2Fluent, AccidentLr());
+TEST(DataflowEquivalenceTest, Q2StructurePinned) {
+  CheckStructure(BuildQ2, AccidentLr(), kQ1WindowSize + kQ2WindowSize,
+                 kOneStreamShapes);
 }
 
-TEST(DataflowEquivalenceTest, Q3StructureMatchesHandWired) {
-  CheckStructure(BuildQ3, BuildQ3Fluent, SmallSg());
+TEST(DataflowEquivalenceTest, Q3StructurePinned) {
+  CheckStructure(BuildQ3, SmallSg(), 2 * kDayHours, kOneStreamShapes);
 }
 
-TEST(DataflowEquivalenceTest, Q4StructureMatchesHandWired) {
-  CheckStructure(BuildQ4, BuildQ4Fluent, SmallSg());
+// Q4 delivers two streams (daily sums, midnight readings) into the Join.
+TEST(DataflowEquivalenceTest, Q4StructurePinned) {
+  CheckStructure(BuildQ4, SmallSg(), kDayHours + kQ4JoinWindowHours,
+                 {{
+                     {1, 0, 0}, {2, 0, 2},  // NP
+                     {1, 1, 0}, {3, 3, 5},  // GL
+                     {1, 0, 0}, {3, 0, 4},  // BL
+                 }});
 }
 
 }  // namespace

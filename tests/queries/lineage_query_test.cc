@@ -1,9 +1,8 @@
 // LineageQuery end-to-end: the store a live Q1 maintains online must answer
 // exactly like a store rebuilt by replaying the provenance file the same run
-// wrote (intra and distributed, hand-wired and fluent), the file bytes must
-// be canonically identical with the store on or off (the store is off the
-// emit path), and a query built without the store must hand out an invalid
-// handle that throws.
+// wrote (intra and distributed), the file bytes must be canonically
+// identical with the store on or off (the store is off the emit path), and a
+// query built without the store must hand out an invalid handle that throws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,8 +58,7 @@ QueryBuildOptions LineageOptionsFor(bool distributed,
   return options;
 }
 
-template <typename Built>
-void CheckLiveMatchesReplay(Built& q, const std::string& file) {
+void CheckLiveMatchesReplay(const BuiltQuery& q, const std::string& file) {
   const LineageQuery live = q.lineage();
   ASSERT_TRUE(live.valid());
 
@@ -107,15 +105,6 @@ TEST(LineageQueryTest, LiveQ1MatchesReplayedFileDistributed) {
   auto q = BuildQ1(SmallLr(), LineageOptionsFor(/*distributed=*/true, file));
   q.Run();
   CheckLiveMatchesReplay(q, file);
-  std::remove(file.c_str());
-}
-
-TEST(LineageQueryTest, FluentDataflowHandsOutWorkingHandle) {
-  const std::string file = ::testing::TempDir() + "/lq_fluent.bin";
-  auto flow =
-      BuildQ1Fluent(SmallLr(), LineageOptionsFor(/*distributed=*/false, file));
-  flow.Run();
-  CheckLiveMatchesReplay(flow, file);
   std::remove(file.c_str());
 }
 

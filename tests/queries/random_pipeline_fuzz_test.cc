@@ -429,7 +429,7 @@ ParallelFuzzResult RunFluentParallel(const ParallelFuzzPlan& plan,
   head.Sink("sink", [&out](const TuplePtr& t) {
     out.sink.push_back(std::to_string(t->ts) + "|" + t->DebugPayload());
   });
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   flow.Run();
   std::sort(out.records.begin(), out.records.end());
   return out;

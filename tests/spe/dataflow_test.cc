@@ -63,7 +63,7 @@ TEST(DataflowTest, JoinPortsFollowCallOrder) {
         const auto& k = static_cast<const KeyedTuple&>(*t);
         pairs.emplace_back(k.key, static_cast<int64_t>(k.value));
       });
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   flow.Run();
   ASSERT_EQ(pairs.size(), 8u);
   for (int i = 0; i < 8; ++i) {
@@ -89,7 +89,7 @@ TEST(DataflowTest, UnionMergeOrderFollowsPortOrder) {
   sa.Union("u", sb).Sink("k", [&order](const TuplePtr& t) {
     order.push_back(static_cast<const ValueTuple&>(*t).value);
   });
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   flow.Run();
   const std::vector<int64_t> want = {100, 200, 101, 201, 102, 202, 103, 203};
   EXPECT_EQ(order, want);
@@ -108,7 +108,7 @@ TEST(DataflowTest, MultiplexTapsAreIndependentCopies) {
   taps[1].Sink("k1", [&all](const TuplePtr& t) {
     all.push_back(static_cast<const ValueTuple&>(*t).value);
   });
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   flow.Run();
   EXPECT_EQ(evens, (std::vector<int64_t>{0, 20, 40}));
   EXPECT_EQ(all, (std::vector<int64_t>{0, 10, 20, 30, 40}));
@@ -127,7 +127,7 @@ Dataflow MakeChain(DataflowOptions opts,
 
 TEST(DataflowTest, NoneModeAddsNoMachinery) {
   Dataflow df = MakeChain({}, Values(4));
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   ASSERT_EQ(flow.topologies.size(), 1u);
   EXPECT_EQ(flow.topologies[0]->nodes().size(), 3u);  // src, keep, k
   EXPECT_EQ(flow.provenance_sink, nullptr);
@@ -135,14 +135,14 @@ TEST(DataflowTest, NoneModeAddsNoMachinery) {
   EXPECT_TRUE(flow.su_nodes.empty());
   EXPECT_EQ(flow.n_instances, 1);
   flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 4u);
+  EXPECT_EQ(flow.sink->count(), 4u);
 }
 
 TEST(DataflowTest, GenealogIntraWeavesSuBeforeSink) {
   DataflowOptions opts;
   opts.mode = ProvenanceMode::kGenealog;
   Dataflow df = MakeChain(std::move(opts), Values(4));
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   ASSERT_EQ(flow.topologies.size(), 1u);
   ASSERT_NE(flow.provenance_sink, nullptr);
   ASSERT_EQ(flow.su_nodes.size(), 1u);  // the Theorem 5.3 SU
@@ -151,7 +151,7 @@ TEST(DataflowTest, GenealogIntraWeavesSuBeforeSink) {
   // SU: output 0 = SO, output 1 = U.
   EXPECT_EQ(flow.su_nodes[0]->num_outputs(), 2u);
   flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 4u);
+  EXPECT_EQ(flow.sink->count(), 4u);
   EXPECT_EQ(flow.provenance_records(), 4u);
   EXPECT_DOUBLE_EQ(flow.mean_origins_per_record(), 1.0);
 }
@@ -165,7 +165,7 @@ TEST(DataflowTest, GenealogDistributedWeavesSuPerCutAndMu) {
       .At(2)
       .Filter("stage2", [](const ValueTuple&) { return true; })
       .Sink("k");
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   // Instances 1 and 2 plus the woven provenance instance 3.
   ASSERT_EQ(flow.topologies.size(), 3u);
   EXPECT_EQ(flow.n_instances, 3);
@@ -184,7 +184,7 @@ TEST(DataflowTest, GenealogDistributedWeavesSuPerCutAndMu) {
   // Channels: data + U at the cut, derived U to the MU.
   EXPECT_EQ(flow.channels.size(), 3u);
   flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 6u);
+  EXPECT_EQ(flow.sink->count(), 6u);
   EXPECT_EQ(flow.provenance_records(), 6u);
 }
 
@@ -192,7 +192,7 @@ TEST(DataflowTest, BaselineWeavesTapsAndResolver) {
   DataflowOptions opts;
   opts.mode = ProvenanceMode::kBaseline;
   Dataflow df = MakeChain(std::move(opts), Values(4));
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   ASSERT_EQ(flow.topologies.size(), 1u);
   ASSERT_NE(flow.baseline_resolver, nullptr);
   EXPECT_EQ(flow.provenance_sink, nullptr);
@@ -202,7 +202,7 @@ TEST(DataflowTest, BaselineWeavesTapsAndResolver) {
   // Resolver ports: 0 = annotated sink stream, 1 = the source stream.
   EXPECT_EQ(flow.baseline_resolver->num_inputs(), 2u);
   flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 4u);
+  EXPECT_EQ(flow.sink->count(), 4u);
   EXPECT_EQ(flow.provenance_records(), 4u);
 }
 
@@ -214,13 +214,13 @@ TEST(DataflowTest, BaselineDistributedShipsSourceStream) {
       .At(2)
       .Filter("stage2", [](const ValueTuple&) { return true; })
       .Sink("k");
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   ASSERT_EQ(flow.topologies.size(), 3u);
   EXPECT_TRUE(HasNode(*flow.topologies[2], "bl.resolver"));
   EXPECT_TRUE(HasNode(*flow.topologies[0], "send.source_copy0"));
   EXPECT_TRUE(HasNode(*flow.topologies[2], "recv.sink_ann"));
   flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 5u);
+  EXPECT_EQ(flow.sink->count(), 5u);
   EXPECT_EQ(flow.provenance_records(), 5u);
   EXPECT_GT(flow.network_bytes(), 0u);
 }
@@ -237,7 +237,7 @@ TEST(DataflowTest, EngineOptionsStampEveryTopology) {
       .At(2)
       .Filter("f", [](const ValueTuple&) { return true; })
       .Sink("k");
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   for (const auto& topo : flow.topologies) {
     EXPECT_EQ(topo->default_batch_size(), 64u);
     EXPECT_FALSE(topo->spsc_edges());
@@ -252,7 +252,7 @@ TEST(DataflowTest, EngineOptionsStampEveryTopology) {
     }
   }
   flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 4u);
+  EXPECT_EQ(flow.sink->count(), 4u);
 }
 
 TEST(DataflowTest, SingleProducerEdgesUpgradeToSpscRing) {
@@ -266,7 +266,7 @@ TEST(DataflowTest, SingleProducerEdgesUpgradeToSpscRing) {
   // ring. A Multiplex's taps both come from one node, so even a fan-out
   // into one consumer keeps the ring (covered by the mux flow below).
   a.Union("u", b).Sink("k");
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   const Topology& topo = *flow.topologies[0];
   for (const auto& node : topo.nodes()) {
     if (node->input_queue() == nullptr) continue;
@@ -275,7 +275,7 @@ TEST(DataflowTest, SingleProducerEdgesUpgradeToSpscRing) {
     EXPECT_EQ(node->input_queue()->kind(), want) << node->name();
   }
   flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 8u);
+  EXPECT_EQ(flow.sink->count(), 8u);
 
   // One producer node, two taps into one merging consumer: still SPSC.
   DataflowOptions opts2;
@@ -283,14 +283,14 @@ TEST(DataflowTest, SingleProducerEdgesUpgradeToSpscRing) {
   Dataflow df2(std::move(opts2));
   auto taps = df2.Source<ValueTuple>("src", Values(4)).Multiplex("mux", 2);
   taps[0].Union("u2", taps[1]).Sink("k2");
-  BuiltDataflow flow2 = df2.Build();
+  BuiltQuery flow2 = df2.Build();
   for (const auto& node : flow2.topologies[0]->nodes()) {
     if (node->input_queue() == nullptr) continue;
     EXPECT_EQ(node->input_queue()->kind(), StreamEdge::Kind::kSpsc)
         << node->name();
   }
   flow2.Run();
-  EXPECT_EQ(flow2.sink()->count(), 8u);
+  EXPECT_EQ(flow2.sink->count(), 8u);
 }
 
 // --- parallel stages --------------------------------------------------------
@@ -323,7 +323,7 @@ TEST(DataflowTest, GenealogWeavesPerReplicaSusWhenParallelStageFeedsSink) {
       .Parallel(3)
       .Aggregate<KeyedTuple>("par", AggregateOptions{4, 4}, SumPerKey())
       .Sink("k");
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   ASSERT_EQ(flow.topologies.size(), 1u);
   const Topology& topo = *flow.topologies[0];
   EXPECT_TRUE(HasNode(topo, "par.partition"));
@@ -336,7 +336,7 @@ TEST(DataflowTest, GenealogWeavesPerReplicaSusWhenParallelStageFeedsSink) {
   flow.Run();
   // 12 tuples, 4 keys, tumbling 4-wide windows: one output per key per
   // window, each derived from exactly one source tuple.
-  EXPECT_EQ(flow.sink()->count(), 12u);
+  EXPECT_EQ(flow.sink->count(), 12u);
   EXPECT_EQ(flow.provenance_records(), 12u);
   EXPECT_DOUBLE_EQ(flow.mean_origins_per_record(), 1.0);
 }
@@ -353,12 +353,12 @@ TEST(DataflowTest, GenealogKeepsSingleSuWhenParallelStageIsNotLast) {
       .Aggregate<KeyedTuple>("par", AggregateOptions{4, 4}, SumPerKey())
       .Filter("keep", [](const KeyedTuple&) { return true; })
       .Sink("k");
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   ASSERT_EQ(flow.su_nodes.size(), 1u);
   EXPECT_TRUE(HasNode(*flow.topologies[0], "SU"));
   EXPECT_FALSE(HasNode(*flow.topologies[0], "SU.par0"));
   flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 12u);
+  EXPECT_EQ(flow.sink->count(), 12u);
   EXPECT_EQ(flow.provenance_records(), 12u);
 }
 
@@ -375,14 +375,14 @@ TEST(DataflowTest, ParallelStageHonorsDeploymentCut) {
       .Parallel(2)
       .Aggregate<KeyedTuple>("par", AggregateOptions{4, 4}, SumPerKey())
       .Sink("k");
-  BuiltDataflow flow = df.Build();
+  BuiltQuery flow = df.Build();
   ASSERT_EQ(flow.topologies.size(), 3u);  // 2 processing + provenance
   EXPECT_TRUE(HasNode(*flow.topologies[1], "par.partition"));
   EXPECT_TRUE(HasNode(*flow.topologies[1], "par.merge"));
   EXPECT_FALSE(HasNode(*flow.topologies[1], "SU.par0"));
   EXPECT_EQ(flow.su_nodes.size(), 2u);  // cut + sink
   flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 12u);
+  EXPECT_EQ(flow.sink->count(), 12u);
   EXPECT_EQ(flow.provenance_records(), 12u);
 }
 
@@ -473,7 +473,7 @@ TEST(DataflowTest, RejectsEmptyPlanAndDoubleBuild) {
   {
     Dataflow df;
     df.Source<ValueTuple>("src", Values(1)).Sink("k");
-    BuiltDataflow flow = df.Build();
+    BuiltQuery flow = df.Build();
     EXPECT_THROW(df.Build(), std::logic_error);
     flow.Run();
   }

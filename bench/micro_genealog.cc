@@ -5,10 +5,13 @@
 // (end-to-end stateless chain throughput by stream batch size).
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -199,9 +202,14 @@ void BM_CascadeReclamation(benchmark::State& state) {
 BENCHMARK(BM_CascadeReclamation)->Arg(24)->Arg(192)->Arg(2048);
 
 // The allocation path in isolation: one MakeTuple plus last-reference release
-// per iteration. With the tuple pool on, steady state is a thread-local
-// pop/push pair; with GENEALOG_TUPLE_POOL=0 it is global new/delete — run
-// both to see the allocation-path delta directly.
+// per iteration, on one thread. With the tuple pool on, the pair is a
+// thread-local block pop/push, single-writer bumps of this thread's flow and
+// live-tuple counters (common/thread_counter.h), and the per-instance
+// live/peak byte accounting — the one shared atomic left, kept exact because
+// it defines the reported memory figures. With GENEALOG_TUPLE_POOL=0 the
+// block comes from global new/delete — run both to see the allocation-path
+// delta directly. A single thread never contends, so this micro cannot show
+// cross-thread counter traffic; BM_MakeTupleCrossThread does.
 void BM_MakeTupleChurn(benchmark::State& state) {
   for (auto _ : state) {
     auto t = Report(1);
@@ -210,6 +218,45 @@ void BM_MakeTupleChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MakeTupleChurn);
+
+// The producer/consumer shape of every operator edge: this thread runs
+// MakeTuple, a second thread drops the last reference, with a bounded
+// lock-free handoff between them. Blocks migrate to the releaser's cache and
+// back through the central free lists, and any counter both sides write
+// turns into a cache line bouncing between the two cores.
+void BM_MakeTupleCrossThread(benchmark::State& state) {
+  constexpr size_t kSlots = 256;
+  struct alignas(64) Index {
+    std::atomic<size_t> value{0};
+  };
+  std::array<Tuple*, kSlots> ring{};
+  Index popped;  // advanced by the releaser
+  Index pushed;  // advanced by this thread
+  std::thread releaser([&] {
+    for (size_t next = 0;; ++next) {
+      while (pushed.value.load(std::memory_order_acquire) == next) {
+        std::this_thread::yield();
+      }
+      Tuple* t = ring[next % kSlots];
+      popped.value.store(next + 1, std::memory_order_release);
+      if (t == nullptr) return;  // end of run
+      intrusive_unref(t);
+    }
+  });
+  size_t next = 0;
+  auto hand_off = [&](Tuple* t) {
+    while (next - popped.value.load(std::memory_order_acquire) == kSlots) {
+      std::this_thread::yield();
+    }
+    ring[next % kSlots] = t;
+    pushed.value.store(++next, std::memory_order_release);
+  };
+  for (auto _ : state) hand_off(Report(1).release());
+  hand_off(nullptr);
+  releaser.join();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MakeTupleCrossThread)->UseRealTime();
 
 // Contribution-graph churn: allocate a small JOIN graph and release it whole,
 // the shape the recycling cascade sees in real queries.

@@ -7,8 +7,9 @@
 // worker pool (spe/scheduler.h) runs every schedulable node of every query on
 // a handful of workers with per-query round-robin fairness. This bench
 // measures the crossover: aggregate throughput (summed source emissions /
-// wall clock) and p99 sink latency at 1, 8, 64 and 256 concurrent queries,
-// in both modes, and reports the pool:thread-per-node speedup per count.
+// wall clock) and p99 sink latency over the merged samples of every sink in
+// the fleet, at 1, 8, 64 and 256 concurrent queries, in both modes, and
+// reports the pool:thread-per-node speedup per count.
 //
 // Extra knobs on top of the harness environment (bench/harness.h):
 //   GENEALOG_BENCH_QUERY_COUNTS  comma list of concurrency levels
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/stats.h"
 #include "common/wall_clock.h"
 #include "spe/scheduler.h"
 
@@ -45,7 +47,11 @@ std::vector<int> QueryCounts() {
 struct ModeResult {
   double wall_s = 0;
   double items_per_s = 0;  // aggregate source emissions / wall clock
-  double p99_ms = 0;       // mean of the per-sink p99s
+  // Sink latency over every sink's samples, merged.
+  double mean_ms = 0;
+  double p50_ms = 0;
+  double p99_ms = 0;
+  uint64_t latency_samples = 0;
   uint64_t sink_tuples = 0;
 };
 
@@ -82,14 +88,19 @@ ModeResult RunFleet(const LrWorkload& lr, const BenchEnv& env, int n_queries,
   ModeResult r;
   r.wall_s = static_cast<double>(t1 - t0) / 1e9;
   uint64_t emitted = 0;
-  double p99_sum = 0;
   for (auto& q : fleet) {
     emitted += q.source->tuples_processed();
     r.sink_tuples += q.sink->count();
-    p99_sum += q.sink->latency_percentile_ms(99);
+    r.latency_samples += q.sink->latency_samples();
   }
+  // Sized for every sample of every sink, so the merge is exact unless a
+  // sink's own reservoir overflowed.
+  SampleStats latency(std::max<uint64_t>(r.latency_samples, 1));
+  for (auto& q : fleet) latency.Merge(q.sink->latency_stats());
   r.items_per_s = r.wall_s > 0 ? static_cast<double>(emitted) / r.wall_s : 0;
-  r.p99_ms = n_queries > 0 ? p99_sum / n_queries : 0;
+  r.mean_ms = latency.mean();
+  r.p50_ms = latency.percentile(50);
+  r.p99_ms = latency.percentile(99);
   return r;
 }
 
@@ -108,18 +119,22 @@ int Main() {
       env.engine.workers);
 
   std::vector<BenchJsonRow> rows;
-  std::printf("%8s  %16s  %14s %12s %10s\n", "queries", "scheduler",
-              "agg items/s", "p99 ms", "wall s");
+  std::printf("%8s  %16s  %14s %12s %12s %10s\n", "queries", "scheduler",
+              "agg items/s", "p99 ms", "p99 samples", "wall s");
   for (int n : counts) {
     ModeResult pool = RunFleet(lr, env, n, SchedulerMode::kPool);
     ModeResult tpn = RunFleet(lr, env, n, SchedulerMode::kThreadPerNode);
     for (const auto& [name, r] :
          {std::pair<const char*, ModeResult&>{"pool", pool},
           std::pair<const char*, ModeResult&>{"thread-per-node", tpn}}) {
-      std::printf("%8d  %16s  %14.0f %12.2f %10.2f\n", n, name, r.items_per_s,
-                  r.p99_ms, r.wall_s);
+      std::printf("%8d  %16s  %14.0f %12.2f %12llu %10.2f\n", n, name,
+                  r.items_per_s, r.p99_ms,
+                  static_cast<unsigned long long>(r.latency_samples), r.wall_s);
       CellMetrics m;
       m.throughput_tps = r.items_per_s;
+      m.latency_samples = r.latency_samples;
+      m.latency_ms = r.mean_ms;
+      m.latency_p50_ms = r.p50_ms;
       m.latency_p99_ms = r.p99_ms;
       m.sink_tuples = r.sink_tuples;
       rows.push_back(BenchJsonRow{"Q1x" + std::to_string(n), name, "multi",

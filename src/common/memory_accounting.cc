@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/thread_counter.h"
+
 namespace genealog::mem {
 namespace {
 
@@ -20,7 +22,11 @@ std::array<Counters, kMaxInstances>& counters() {
   return c;
 }
 
-std::atomic<int64_t> g_tuple_count{0};
+// Bumped by every MakeTuple and every release, on whichever thread runs
+// them: per-thread cells, summed on read.
+struct LiveTuplesTag;
+using LiveTuples = ThreadCounter<LiveTuplesTag>;
+
 std::atomic<int64_t> g_pool_slab_bytes{0};
 std::atomic<int64_t> g_traversal_scratch_bytes{0};
 
@@ -71,12 +77,8 @@ void ResetAll() {
   }
 }
 
-int64_t LiveTupleCount() {
-  return g_tuple_count.load(std::memory_order_relaxed);
-}
-void AddTupleCount(int64_t delta) {
-  g_tuple_count.fetch_add(delta, std::memory_order_relaxed);
-}
+int64_t LiveTupleCount() { return LiveTuples::Sum(); }
+void AddTupleCount(int64_t delta) { LiveTuples::Add(delta); }
 
 int64_t PoolSlabBytes() {
   return g_pool_slab_bytes.load(std::memory_order_relaxed);

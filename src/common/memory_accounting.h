@@ -23,6 +23,10 @@ inline constexpr int kMaxInstances = 16;
 void SetCurrentInstance(int instance_id);
 int CurrentInstance();
 
+// Live and peak bytes stay shared atomics, one RMW per tuple allocation and
+// one per release: the peak is a running maximum over the instance's
+// global live total, which per-thread cells cannot give without a sum on
+// every update, and it defines the reported memory figures (Figures 12–13).
 void Add(int instance_id, int64_t bytes);
 void Sub(int instance_id, int64_t bytes);
 
@@ -35,6 +39,9 @@ int64_t TotalLiveBytes();
 void ResetAll();
 
 // Count of live Tuple objects (all instances), for leak assertions in tests.
+// Each thread counts its own creations and releases (common/thread_counter.h)
+// and the read sums them: exact once the threads touching tuples are
+// quiescent, a snapshot while they run.
 int64_t LiveTupleCount();
 void AddTupleCount(int64_t delta);
 

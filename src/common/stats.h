@@ -48,7 +48,19 @@ class SampleStats {
   double max() const { return max_; }
   double percentile(double pct) const;
 
+  // Folds `other` in, as if its samples had been added here. Count, mean,
+  // min and max are exact. So are percentiles while neither reservoir has
+  // overflowed and the union fits this one's capacity; past that the
+  // reservoir keeps a uniform sample of the union, each side represented in
+  // proportion to its sample count (Adds after such a lossy merge are no
+  // longer uniformly sampled, so merge to report, not to keep recording).
+  void Merge(const SampleStats& other);
+
  private:
+  uint64_t NextRandom();  // xorshift64
+  // Shrinks `samples` in place to a uniform random subset of `keep`.
+  void Subsample(std::vector<double>& samples, size_t keep);
+
   size_t n_ = 0;
   double sum_ = 0;
   double min_ = 0;

@@ -9,6 +9,7 @@
 
 #include "common/engine_options.h"
 #include "common/memory_accounting.h"
+#include "common/thread_counter.h"
 
 namespace genealog::pool {
 namespace {
@@ -35,15 +36,18 @@ struct CentralClass {
   std::vector<void*> slabs;        // guarded by mu; freed never
 };
 
-struct alignas(64) FlowCounters {
-  std::atomic<uint64_t> pool_allocs{0};
-  std::atomic<uint64_t> fresh_carves{0};
-  std::atomic<uint64_t> heap_allocs{0};
-};
+// Flow counters bumped on every allocation are per-thread (sum on read), so
+// the allocate/release pair touches no cache line another thread writes.
+// fresh_carves only moves on the locked refill path, so it stays a plain
+// shared atomic.
+struct PoolAllocsTag;
+struct HeapAllocsTag;
+using PoolAllocs = ThreadCounter<PoolAllocsTag>;
+using HeapAllocs = ThreadCounter<HeapAllocsTag>;
 
 struct Central {
   CentralClass classes[kNumClasses];
-  FlowCounters flow;
+  std::atomic<uint64_t> fresh_carves{0};
   std::atomic<uint64_t> slabs{0};
   std::atomic<uint64_t> slab_bytes{0};
 };
@@ -115,7 +119,6 @@ class ThreadCache {
   bool Refill(uint8_t size_class) {
     CentralClass& cls = central().classes[size_class];
     size_t got = 0;
-    bool fresh = false;
     {
       std::lock_guard lock(cls.mu);
       const size_t take = std::min(kRefillBatch, cls.free_blocks.size());
@@ -129,11 +132,8 @@ class ThreadCache {
         if (cls.bump == cls.bump_end) AddSlab(cls, size_class);
         blocks_[size_class][got++] = cls.bump;
         cls.bump += ClassBytes(size_class);
-        fresh = true;
+        central().fresh_carves.fetch_add(1, std::memory_order_relaxed);
       }
-    }
-    if (fresh) {
-      central().flow.fresh_carves.fetch_add(1, std::memory_order_relaxed);
     }
     counts_[size_class] = got;
     return got > 0;
@@ -182,11 +182,11 @@ void* Allocate(size_t bytes, uint8_t& size_class) {
   const uint8_t cls = SizeClassFor(bytes);
   if (cls == kHeapClass || !Enabled()) {
     size_class = kHeapClass;
-    central().flow.heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    HeapAllocs::Add(1);
     return ::operator new(bytes);
   }
   size_class = cls;
-  central().flow.pool_allocs.fetch_add(1, std::memory_order_relaxed);
+  PoolAllocs::Add(1);
   return thread_cache().Pop(cls);
 }
 
@@ -206,18 +206,17 @@ Stats GetStats() {
   Stats s;
   s.slabs = c.slabs.load(std::memory_order_relaxed);
   s.slab_bytes = c.slab_bytes.load(std::memory_order_relaxed);
-  s.pool_allocs = c.flow.pool_allocs.load(std::memory_order_relaxed);
-  const uint64_t fresh = c.flow.fresh_carves.load(std::memory_order_relaxed);
+  s.pool_allocs = static_cast<uint64_t>(PoolAllocs::Sum());
+  const uint64_t fresh = c.fresh_carves.load(std::memory_order_relaxed);
   s.recycled_allocs = s.pool_allocs > fresh ? s.pool_allocs - fresh : 0;
-  s.heap_allocs = c.flow.heap_allocs.load(std::memory_order_relaxed);
+  s.heap_allocs = static_cast<uint64_t>(HeapAllocs::Sum());
   return s;
 }
 
 void ResetStats() {
-  FlowCounters& f = central().flow;
-  f.pool_allocs.store(0, std::memory_order_relaxed);
-  f.fresh_carves.store(0, std::memory_order_relaxed);
-  f.heap_allocs.store(0, std::memory_order_relaxed);
+  PoolAllocs::Rebase();
+  HeapAllocs::Rebase();
+  central().fresh_carves.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace genealog::pool

@@ -8,7 +8,11 @@
 //  * sizes are rounded up to one of a few fixed size classes; each class
 //    carves blocks out of large slabs obtained from the OS;
 //  * every thread keeps a small per-class cache of free blocks, so the
-//    steady-state allocate/release pair is two thread-local pointer pushes;
+//    steady-state allocate/release pair is a thread-local pointer pop and
+//    push;
+//  * the flow counters (pool_allocs, heap_allocs) are per-thread cells
+//    summed by GetStats (common/thread_counter.h), so counting an
+//    allocation writes no cache line another thread writes;
 //  * the caches overflow into (and refill from) a mutex-protected central
 //    free list per class, which also makes cross-thread release correct: a
 //    producer thread may allocate a tuple whose last reference is dropped on
@@ -16,6 +20,13 @@
 //    releasing thread's cache (and eventually to the central list);
 //  * once warmed up, query execution allocates from the OS only when the
 //    live-tuple high-water mark grows — slabs are never returned.
+//
+// On top of the pool, MakeTuple and the release cascade (core/tuple.{h,cc})
+// each bump the per-thread live-tuple count (mem::AddTupleCount) and do one
+// shared atomic RMW on the instance's live/peak byte counters
+// (mem::Add/Sub). That RMW is the only cross-thread write left on the
+// lifecycle; it stays shared because the peak it maintains is the reported
+// memory figure.
 //
 // Callers record the size class a block came from (tuples stash it in their
 // header, see core/tuple.h) and hand it back to Deallocate, so toggling the
@@ -94,10 +105,13 @@ struct Stats {
   }
 };
 
+// Flow counts sum every thread's cell: exact once the allocating threads
+// are quiescent, a snapshot while they run.
 Stats GetStats();
-// Zeroes the flow counters (between benchmark repetitions / tests). Slabs and
-// free lists are untouched, so slabs/slab_bytes — gauges of reserved memory —
-// keep their values.
+// Zeroes the flow counters (between benchmark repetitions / tests) by taking
+// the current sums as the new zero point, which is safe while other threads
+// are alive. Slabs and free lists are untouched, so slabs/slab_bytes —
+// gauges of reserved memory — keep their values.
 void ResetStats();
 
 }  // namespace genealog::pool

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <vector>
 
+#include "common/small_vec.h"
+
 namespace genealog {
 
 const char* ToString(TupleKind kind) {
@@ -88,7 +90,13 @@ void intrusive_unref(const Tuple* tc) noexcept {
   // MakeTuple time — the releasing thread's cache, which keeps cross-thread
   // release (producer allocates, downstream drops the last ref) a local
   // operation.
-  std::vector<Tuple*> dead;
+  //
+  // The work stack lives on this frame: the depth-first order keeps it a few
+  // entries deep for the paper's graph shapes (N-chains, join/aggregate
+  // trees), and only a cascade with more than kInlinePending children
+  // pending at once spills it to the heap.
+  constexpr size_t kInlinePending = 32;
+  SmallVec<Tuple*, kInlinePending> dead;
   dead.push_back(t);
   while (!dead.empty()) {
     Tuple* d = dead.back();

@@ -47,6 +47,13 @@ class SinkNode final : public SingleInputNode {
     return latency_ms_.count();
   }
 
+  // A copy of the latency accumulator, for merging several sinks' samples
+  // into one distribution (SampleStats::Merge).
+  SampleStats latency_stats() const {
+    std::lock_guard lock(mu_);
+    return latency_ms_;
+  }
+
  protected:
   void OnTuple(TuplePtr t) override {
     count_.fetch_add(1, std::memory_order_relaxed);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <latch>
 #include <thread>
+#include <vector>
 
 namespace genealog::mem {
 namespace {
@@ -72,6 +74,71 @@ TEST_F(MemoryAccountingTest, ConcurrentAddSubIsExact) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(LiveBytes(1), 0);
   EXPECT_GE(PeakBytes(1), 8);
+}
+
+TEST_F(MemoryAccountingTest, LiveTupleCountIsExactAcrossThreads) {
+  // The live-tuple count is per-thread cells summed on read. K creating
+  // threads count tuples in, M other threads count them out; at each read
+  // some of them have exited and the rest are alive, parked on a latch.
+  constexpr int kCreators = 4;
+  constexpr int kReleasers = 3;
+  constexpr int kPerCreator = 5000;
+  constexpr int kTotal = kCreators * kPerCreator;
+  const int64_t base = LiveTupleCount();
+
+  std::latch created(kCreators);
+  std::latch released(kReleasers);
+  std::latch finish(1);
+  std::vector<std::thread> creators;
+  for (int c = 0; c < kCreators; ++c) {
+    creators.emplace_back([&, c] {
+      for (int i = 0; i < kPerCreator; ++i) AddTupleCount(1);
+      created.count_down();
+      if (c % 2 == 0) finish.wait();
+    });
+  }
+  created.wait();
+  for (int c = 1; c < kCreators; c += 2) {
+    creators[static_cast<size_t>(c)].join();
+  }
+  EXPECT_EQ(LiveTupleCount() - base, kTotal);
+
+  std::vector<std::thread> releasers;
+  for (int r = 0; r < kReleasers; ++r) {
+    releasers.emplace_back([&, r] {
+      // Releaser r drops every kReleasers-th tuple, starting at r.
+      for (int i = r; i < kTotal; i += kReleasers) AddTupleCount(-1);
+      released.count_down();
+      if (r == 0) finish.wait();
+    });
+  }
+  released.wait();
+  for (int r = 1; r < kReleasers; ++r) {
+    releasers[static_cast<size_t>(r)].join();
+  }
+  EXPECT_EQ(LiveTupleCount(), base);
+
+  finish.count_down();
+  for (int c = 0; c < kCreators; c += 2) {
+    creators[static_cast<size_t>(c)].join();
+  }
+  releasers[0].join();
+  EXPECT_EQ(LiveTupleCount(), base);
+}
+
+TEST_F(MemoryAccountingTest, CountsFromLateThreadExitDestructorsAreKept) {
+  // A thread-local destroyed after the counter's own exit hook (it was
+  // constructed first) still releases a tuple: the count must not drop it.
+  struct LateRelease {
+    ~LateRelease() { AddTupleCount(-1); }
+  };
+  const int64_t base = LiveTupleCount();
+  std::thread([] {
+    thread_local LateRelease late;
+    (void)&late;
+    AddTupleCount(1);
+  }).join();
+  EXPECT_EQ(LiveTupleCount(), base);
 }
 
 TEST_F(MemoryAccountingTest, RssIsPositive) {

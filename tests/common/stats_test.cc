@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace genealog {
 namespace {
@@ -98,6 +99,65 @@ TEST(SampleStatsTest, SmallSampleExactPercentiles) {
   for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.Add(x);
   EXPECT_DOUBLE_EQ(s.percentile(50), 3.0);
   EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
+}
+
+TEST(SampleStatsTest, MergeIsExactWhileNoReservoirOverflowed) {
+  // Two sinks with very different latency profiles: the fleet p99 is a
+  // percentile of all samples, not the mean of the two p99s.
+  SampleStats fast(1000);
+  SampleStats slow(1000);
+  std::vector<double> all;
+  for (int i = 0; i < 900; ++i) {
+    fast.Add(1.0 + i % 10);
+    all.push_back(1.0 + i % 10);
+  }
+  for (int i = 0; i < 100; ++i) {
+    slow.Add(100.0 + i);
+    all.push_back(100.0 + i);
+  }
+  SampleStats fleet(1000);
+  fleet.Merge(fast);
+  fleet.Merge(slow);
+  EXPECT_EQ(fleet.count(), 1000u);
+  EXPECT_DOUBLE_EQ(fleet.min(), 1.0);
+  EXPECT_DOUBLE_EQ(fleet.max(), 199.0);
+  EXPECT_DOUBLE_EQ(fleet.mean(),
+                   (fast.mean() * 900 + slow.mean() * 100) / 1000);
+  for (double pct : {50.0, 90.0, 99.0}) {
+    EXPECT_DOUBLE_EQ(fleet.percentile(pct), Percentile(all, pct)) << pct;
+  }
+  EXPECT_NE(fleet.percentile(99),
+            (fast.percentile(99) + slow.percentile(99)) / 2);
+}
+
+TEST(SampleStatsTest, MergeAfterOverflowWeighsSidesBySampleCount) {
+  // The big side saw 100x the samples but kept no more of them: the merged
+  // reservoir must still be ~99% big-side values, not half.
+  SampleStats big(200);
+  SampleStats small(200);
+  for (int i = 0; i < 20000; ++i) big.Add(1.0);
+  for (int i = 0; i < 200; ++i) small.Add(1000.0);
+  SampleStats merged(200);
+  merged.Merge(big);
+  merged.Merge(small);
+  EXPECT_EQ(merged.count(), 20200u);
+  EXPECT_DOUBLE_EQ(merged.max(), 1000.0);
+  EXPECT_DOUBLE_EQ(merged.percentile(50), 1.0);
+  EXPECT_DOUBLE_EQ(merged.percentile(95), 1.0);
+  EXPECT_DOUBLE_EQ(merged.percentile(100), 1000.0);
+}
+
+TEST(SampleStatsTest, MergeWithEmptyIsIdentity) {
+  SampleStats s;
+  for (double x : {3.0, 1.0, 2.0}) s.Add(x);
+  s.Merge(SampleStats());
+  EXPECT_EQ(s.count(), 3u);
+  EXPECT_DOUBLE_EQ(s.percentile(50), 2.0);
+  SampleStats empty;
+  empty.Merge(s);
+  EXPECT_EQ(empty.count(), 3u);
+  EXPECT_DOUBLE_EQ(empty.min(), 1.0);
+  EXPECT_DOUBLE_EQ(empty.percentile(50), 2.0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -195,6 +196,80 @@ TEST_F(TuplePoolTest, ManyThreadsChurnConcurrently) {
     });
   }
   for (auto& t : workers) t.join();
+}
+
+TEST_F(TuplePoolTest, PerThreadFlowCountsAreExactAcrossThreads) {
+  // The flow counters are per-thread cells summed on read. K producers
+  // allocate and hand their tuples to M releasers; at the read, some of
+  // those threads have exited (their cells folded into the exited total)
+  // and the rest are alive, parked on a latch.
+  constexpr int kProducers = 4;
+  constexpr int kReleasers = 3;
+  constexpr int kPerProducer = 700;
+  const int64_t live_before = mem::LiveTupleCount();
+  pool::ResetStats();
+
+  std::vector<std::vector<TuplePtr>> made(kProducers);
+  std::latch produced(kProducers);
+  std::latch released(kReleasers);
+  std::latch finish(1);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        made[static_cast<size_t>(p)].push_back(MakeTuple<ValueTuple>(i, p));
+      }
+      produced.count_down();
+      if (p % 2 == 0) finish.wait();  // even producers stay alive
+    });
+  }
+  produced.wait();
+  for (int p = 1; p < kProducers; p += 2) {
+    producers[static_cast<size_t>(p)].join();
+  }
+
+  std::vector<std::thread> releasers;
+  for (int r = 0; r < kReleasers; ++r) {
+    releasers.emplace_back([&, r] {
+      for (int p = r; p < kProducers; p += kReleasers) {
+        made[static_cast<size_t>(p)].clear();
+      }
+      released.count_down();
+      if (r == 0) finish.wait();  // one releaser stays alive
+    });
+  }
+  released.wait();
+  for (int r = 1; r < kReleasers; ++r) {
+    releasers[static_cast<size_t>(r)].join();
+  }
+
+  pool::Stats s = pool::GetStats();
+  EXPECT_EQ(s.pool_allocs, static_cast<uint64_t>(kProducers * kPerProducer));
+  EXPECT_LE(s.recycled_allocs, s.pool_allocs);
+  EXPECT_EQ(mem::LiveTupleCount(), live_before);
+
+  // ResetStats rebases: the flow counts read zero even though live threads
+  // still own cells holding their old counts...
+  pool::ResetStats();
+  s = pool::GetStats();
+  EXPECT_EQ(s.pool_allocs, 0u);
+  EXPECT_EQ(s.recycled_allocs, 0u);
+  EXPECT_EQ(s.heap_allocs, 0u);
+
+  // ...and stay zero when those threads exit and fold their cells in.
+  finish.count_down();
+  for (int p = 0; p < kProducers; p += 2) {
+    producers[static_cast<size_t>(p)].join();
+  }
+  releasers[0].join();
+  s = pool::GetStats();
+  EXPECT_EQ(s.pool_allocs, 0u);
+  EXPECT_EQ(s.heap_allocs, 0u);
+  EXPECT_EQ(mem::LiveTupleCount(), live_before);
+
+  // Counting resumes from the new zero point on any thread.
+  std::thread([] { MakeTuple<ValueTuple>(1, 1).reset(); }).join();
+  EXPECT_EQ(pool::GetStats().pool_allocs, 1u);
 }
 
 TEST_F(TuplePoolTest, OversizeTuplesFallBackToHeap) {

@@ -24,9 +24,8 @@ BenchEnv ReadBenchEnv() {
     env.replays = std::max(1, std::atoi(replays));
   }
   env.engine = EngineOptions::FromEnv();
-  // The process-wide switches may have been flipped programmatically; record
-  // their live state, not the env default.
-  env.engine.tuple_pool = pool::Enabled();
+  // The process-wide switch may have been flipped programmatically; record
+  // its live state, not the env default.
   env.engine.epoch_traversal = EpochTraversalEnabled();
   if (const char* dir = std::getenv("GENEALOG_BENCH_JSON_DIR")) {
     env.json_dir = dir;
@@ -200,18 +199,15 @@ const char* VariantName(ProvenanceMode mode) { return ToString(mode); }
 void WritePoolStatsFields(std::FILE* f) {
   const pool::Stats s = pool::GetStats();
   std::fprintf(f,
-               "\"spsc_ring\": %s,\n  \"adaptive_batch\": %s,\n  "
+               "\"adaptive_batch\": %s,\n  "
                "\"epoch_traversal\": %s,\n  \"async_prov_sink\": %s,\n  ",
-               DefaultSpscEdges() ? "true" : "false",
                DefaultAdaptiveBatch() ? "true" : "false",
                EpochTraversalEnabled() ? "true" : "false",
                DefaultAsyncProvSink() ? "true" : "false");
   std::fprintf(f,
-               "\"tuple_pool\": %s,\n"
-               "  \"pool\": {\"slabs\": %llu, \"slab_bytes\": %llu, "
+               "\"pool\": {\"slabs\": %llu, \"slab_bytes\": %llu, "
                "\"pool_allocs\": %llu, \"recycled_allocs\": %llu, "
                "\"heap_allocs\": %llu, \"recycle_hit_rate\": %.4f}",
-               pool::Enabled() ? "true" : "false",
                static_cast<unsigned long long>(s.slabs),
                static_cast<unsigned long long>(s.slab_bytes),
                static_cast<unsigned long long>(s.pool_allocs),

@@ -15,11 +15,6 @@
 //                           (default) keeps one OS thread per operator
 //   GENEALOG_WORKERS        pool worker threads (default 0 = one per
 //                           hardware thread, capped by the task count)
-//   GENEALOG_TUPLE_POOL     0 disables the recycling tuple pool (heap
-//                           allocation fallback; default on)
-//   GENEALOG_SPSC_RING      0 pins every edge to the mutex BatchQueue
-//                           (default: lock-free SPSC ring on single-producer
-//                           edges)
 //   GENEALOG_ADAPTIVE_BATCH 0 pins the static flush threshold (default:
 //                           endpoints steer it within [1, batch] from
 //                           consumer queue depth)
@@ -49,8 +44,8 @@ struct BenchEnv {
   double scale = 1.0;
   int replays = 12;
   // The unified knob snapshot (common/engine_options.h): GENEALOG_BATCH_SIZE
-  // plus every boolean GENEALOG_* policy, with the process-wide switches
-  // (tuple pool, epoch traversal) refined from their live state.
+  // plus every boolean GENEALOG_* policy, with the process-wide epoch
+  // traversal switch refined from its live state.
   EngineOptions engine;
   std::string json_dir = ".";
 };
@@ -149,14 +144,14 @@ struct BenchJsonRow {
 // their sum, so 0 means no cell measured latency.
 CellMetrics MeanCells(const std::vector<CellMetrics>& cells);
 
-// Writes the shared `"spsc_ring": ..., "adaptive_batch": ...,
-// "tuple_pool": ..., "pool": {...}` JSON fragment used by every BENCH_*.json
-// writer, so the artifact series stays field-for-field uniform. The knob
-// fields record the *process-wide env defaults*; cells that override them
-// programmatically (bench_micro_genealog's in-binary batch x ring x adaptive
-// sweep) carry their actual configuration in the per-row benchmark name
-// instead. Emits no leading/trailing newline; the caller owns the
-// surrounding object.
+// Writes the shared `"adaptive_batch": ..., "epoch_traversal": ...,
+// "async_prov_sink": ..., "pool": {...}` JSON fragment used by every
+// BENCH_*.json writer, so the artifact series stays field-for-field uniform.
+// The knob fields record the *process-wide env defaults*; cells that
+// override them programmatically (bench_micro_genealog's in-binary
+// batch x adaptive sweep) carry their actual configuration in the per-row
+// benchmark name instead. Emits no leading/trailing newline; the caller owns
+// the surrounding object.
 void WritePoolStatsFields(std::FILE* f);
 
 // Writes `<json_dir>/BENCH_<bench>.json` recording the environment (including

@@ -202,14 +202,12 @@ void BM_CascadeReclamation(benchmark::State& state) {
 BENCHMARK(BM_CascadeReclamation)->Arg(24)->Arg(192)->Arg(2048);
 
 // The allocation path in isolation: one MakeTuple plus last-reference release
-// per iteration, on one thread. With the tuple pool on, the pair is a
-// thread-local block pop/push, single-writer bumps of this thread's flow and
-// live-tuple counters (common/thread_counter.h), and the per-instance
-// live/peak byte accounting — the one shared atomic left, kept exact because
-// it defines the reported memory figures. With GENEALOG_TUPLE_POOL=0 the
-// block comes from global new/delete — run both to see the allocation-path
-// delta directly. A single thread never contends, so this micro cannot show
-// cross-thread counter traffic; BM_MakeTupleCrossThread does.
+// per iteration, on one thread. The pair is a thread-local pool block
+// pop/push, single-writer bumps of this thread's flow and live-tuple
+// counters (common/thread_counter.h), and the per-instance live/peak byte
+// accounting — the one shared atomic left, kept exact because it defines the
+// reported memory figures. A single thread never contends, so this micro
+// cannot show cross-thread counter traffic; BM_MakeTupleCrossThread does.
 void BM_MakeTupleChurn(benchmark::State& state) {
   for (auto _ : state) {
     auto t = Report(1);
@@ -416,13 +414,10 @@ BENCHMARK(BM_LineageLookup)->Arg(1024)->Arg(32768)->Arg(262144);
 // --- data-plane sweep --------------------------------------------------------
 // End-to-end stateless chain, GL mode: Source -> Map (creates, instrumented
 // U1) -> Filter -> Multiplex -> Sink, every operator on its own thread. The
-// arguments are (batch size, edge kind, adaptive batching):
-//   * batch:    the stream batch size; batch 1 with mutex edges and static
-//     batching is the seed data plane, so items_per_second across the sweep
-//     is the data-plane speedup;
-//   * ring:     1 = lock-free SPSC ring on the (single-producer) edges,
-//     0 = mutex BatchQueue — the chain is all single-producer, so this
-//     isolates the per-handover lock cost;
+// arguments are (batch size, adaptive batching):
+//   * batch:    the stream batch size; batch 1 with static batching is the
+//     seed data plane, so items_per_second across the sweep is the
+//     data-plane speedup;
 //   * adaptive: 1 = flush threshold steered by consumer queue depth within
 //     [1, batch], 0 = static threshold at the batch knob.
 // The dataset has realistic timestamp plateaus (many reports per LR second),
@@ -446,13 +441,11 @@ const std::vector<IntrusivePtr<PositionReport>>& ChainDataset() {
 
 void BM_StatelessChain_GL(benchmark::State& state) {
   const size_t batch_size = static_cast<size_t>(state.range(0));
-  const bool spsc = state.range(1) != 0;
-  const bool adaptive = state.range(2) != 0;
+  const bool adaptive = state.range(1) != 0;
   const auto& data = ChainDataset();
   for (auto _ : state) {
     Topology topo(/*instance_id=*/0, ProvenanceMode::kGenealog);
     topo.set_default_batch_size(batch_size);
-    topo.set_spsc_edges(spsc);
     topo.set_adaptive_batch(adaptive);
     auto* source = topo.Add<VectorSourceNode<PositionReport>>("src", data);
     auto* map = topo.Add<MapNode<PositionReport, PositionReport>>(
@@ -482,25 +475,17 @@ void BM_StatelessChain_GL(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
 }
 BENCHMARK(BM_StatelessChain_GL)
-    ->ArgNames({"batch", "ring", "adaptive"})
-    // The batch sweep on ring edges with static batching — the production
-    // default going forward (a new series as of the SPSC-ring PR).
-    ->Args({1, 1, 0})
-    ->Args({4, 1, 0})
-    ->Args({16, 1, 0})
-    ->Args({64, 1, 0})
-    ->Args({256, 1, 0})
-    ->Args({1024, 1, 0})
-    // Mutex edges: ring-vs-mutex is the lock cost on a pure single-producer
-    // chain, and these cells are the like-for-like continuation of the
-    // PR 1/2 batch-sweep series (which ran on mutex BatchQueue edges).
-    ->Args({1, 0, 0})
-    ->Args({64, 0, 0})
-    ->Args({1024, 0, 0})
-    // Adaptive batching at the knob points, both edge kinds.
-    ->Args({64, 1, 1})
-    ->Args({64, 0, 1})
-    ->Args({1024, 1, 1})
+    ->ArgNames({"batch", "adaptive"})
+    // The batch sweep with static batching.
+    ->Args({1, 0})
+    ->Args({4, 0})
+    ->Args({16, 0})
+    ->Args({64, 0})
+    ->Args({256, 0})
+    ->Args({1024, 0})
+    // Adaptive batching at the knob points.
+    ->Args({64, 1})
+    ->Args({1024, 1})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

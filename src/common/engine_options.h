@@ -13,9 +13,7 @@
 // | Field            | Env var                  | Default         |
 // |------------------|--------------------------|-----------------|
 // | batch_size       | GENEALOG_BATCH_SIZE      | 64              |
-// | spsc_edges       | GENEALOG_SPSC_RING       | on              |
 // | adaptive_batch   | GENEALOG_ADAPTIVE_BATCH  | on              |
-// | tuple_pool       | GENEALOG_TUPLE_POOL      | on              |
 // | epoch_traversal  | GENEALOG_EPOCH_TRAVERSAL | on              |
 // | async_prov_sink  | GENEALOG_ASYNC_PROV_SINK | on              |
 // | prov_buffer_bytes | —                       | 256 KiB         |
@@ -36,11 +34,10 @@
 // FromEnv() additionally honors GENEALOG_BATCH_SIZE — the bench harness and
 // ad-hoc tools use it so one exported variable sweeps a whole binary.
 //
-// tuple_pool and epoch_traversal are process-wide switches (the allocator and
-// the traversal fast path are globals, not per-topology state); they ride
-// here so option plumbing and BENCH_*.json reporting see one struct, but
-// flipping them on a copy does not reconfigure a running process — use
-// pool::SetEnabled / SetEpochTraversal for that.
+// epoch_traversal is a process-wide switch (the traversal fast path is a
+// global, not per-topology state); it rides here so option plumbing and
+// BENCH_*.json reporting see one struct, but flipping it on a copy does not
+// reconfigure a running process — use SetEpochTraversal for that.
 #ifndef GENEALOG_COMMON_ENGINE_OPTIONS_H_
 #define GENEALOG_COMMON_ENGINE_OPTIONS_H_
 
@@ -78,18 +75,9 @@ namespace engine_defaults {
 // Each helper reads its environment variable once per process and caches the
 // result, so defaults cannot drift mid-run when a test mutates the
 // environment. These are the definitions the per-subsystem Default*()
-// functions (node.cc, provenance_sink.cc, tuple_pool.cc, traversal.cc)
-// delegate to.
-inline bool SpscEdges() {
-  static const bool v = EnvKnobEnabled("GENEALOG_SPSC_RING");
-  return v;
-}
+// functions (node.cc, provenance_sink.cc, traversal.cc) delegate to.
 inline bool AdaptiveBatch() {
   static const bool v = EnvKnobEnabled("GENEALOG_ADAPTIVE_BATCH");
-  return v;
-}
-inline bool TuplePool() {
-  static const bool v = EnvKnobEnabled("GENEALOG_TUPLE_POOL");
   return v;
 }
 inline bool EpochTraversal() {
@@ -183,15 +171,9 @@ struct EngineOptions {
   // data plane; 64 = the production default, >2x throughput with adaptive
   // batching keeping idle latency at the seed level).
   size_t batch_size = 64;
-  // Lock-free SPSC ring on single-producer edges (mutex BatchQueue everywhere
-  // when false).
-  bool spsc_edges = engine_defaults::SpscEdges();
   // Endpoints steer their flush threshold within [1, batch_size] from
   // consumer queue depth (static threshold when false).
   bool adaptive_batch = engine_defaults::AdaptiveBatch();
-  // Recycling slab allocator under MakeTuple. Process-wide; informational in
-  // per-query options (see header comment).
-  bool tuple_pool = engine_defaults::TuplePool();
   // Mark-word epoch fast path in FindProvenance. Process-wide; informational
   // in per-query options (see header comment).
   bool epoch_traversal = engine_defaults::EpochTraversal();

@@ -1,6 +1,6 @@
-// Shared parse for boolean environment knobs (GENEALOG_TUPLE_POOL,
-// GENEALOG_SPSC_RING, GENEALOG_ADAPTIVE_BATCH, GENEALOG_EPOCH_TRAVERSAL,
-// GENEALOG_ASYNC_PROV_SINK): unset, empty, or any non-zero value means
+// Shared parse for boolean environment knobs (GENEALOG_ADAPTIVE_BATCH,
+// GENEALOG_EPOCH_TRAVERSAL, GENEALOG_ASYNC_PROV_SINK,
+// GENEALOG_WIRE_BLOCK_COMPRESS): unset, empty, or any non-zero value means
 // enabled — an empty var passed through by a wrapper script keeps the
 // default. One definition so the knobs can never drift apart.
 #ifndef GENEALOG_COMMON_ENV_KNOB_H_

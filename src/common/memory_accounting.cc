@@ -12,7 +12,10 @@
 namespace genealog::mem {
 namespace {
 
-struct Counters {
+// One cache line per instance: distributed runs touch several instances'
+// live/peak atomics from different threads at once, and without the padding
+// four instances would share one line.
+struct alignas(64) Counters {
   std::atomic<int64_t> live{0};
   std::atomic<int64_t> peak{0};
 };

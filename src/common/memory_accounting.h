@@ -47,9 +47,9 @@ void AddTupleCount(int64_t delta);
 
 // Bytes the tuple pool has reserved from the OS in slabs (process-wide,
 // monotonic — slabs are never returned). Tracked separately from LiveBytes:
-// per-tuple accounting stays identical with the pool on or off, so the
-// paper's memory figures remain comparable, while the slab gauge exposes the
-// pool's actual OS footprint.
+// per-tuple accounting counts each tuple's own bytes, not its pool block, so
+// the paper's memory figures stay comparable, while the slab gauge exposes
+// the pool's actual OS footprint.
 int64_t PoolSlabBytes();
 void AddPoolSlabBytes(int64_t bytes);
 

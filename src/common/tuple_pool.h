@@ -29,10 +29,9 @@
 // memory figure.
 //
 // Callers record the size class a block came from (tuples stash it in their
-// header, see core/tuple.h) and hand it back to Deallocate, so toggling the
-// pool at runtime can never mismatch allocate/release paths. Blocks larger
-// than the biggest class, and every allocation when the pool is disabled
-// (GENEALOG_TUPLE_POOL=0), fall back to the heap under kHeapClass.
+// header, see core/tuple.h) and hand it back to Deallocate. Only blocks
+// larger than the biggest class (kMaxPooledBytes) go to the heap, under
+// kHeapClass.
 #ifndef GENEALOG_COMMON_TUPLE_POOL_H_
 #define GENEALOG_COMMON_TUPLE_POOL_H_
 
@@ -67,15 +66,8 @@ constexpr size_t ClassBytes(uint8_t size_class) {
   return (static_cast<size_t>(size_class) + 1) * kClassStride;
 }
 
-// Whether allocations go through the pool. Reads GENEALOG_TUPLE_POOL once at
-// first use (unset or any value but "0" means enabled).
-bool Enabled();
-// Overrides the env-derived setting; in-flight blocks are unaffected because
-// release is keyed on the block's recorded class, not the current setting.
-void SetEnabled(bool on);
-
 // Allocates storage for `bytes`, writing the class the block belongs to into
-// `size_class` (kHeapClass for heap fallback). Never returns null (throws
+// `size_class` (kHeapClass for oversized blocks). Never returns null (throws
 // std::bad_alloc like operator new).
 void* Allocate(size_t bytes, uint8_t& size_class);
 
@@ -93,7 +85,7 @@ struct Stats {
   uint64_t slab_bytes = 0;       // total bytes reserved in slabs
   uint64_t pool_allocs = 0;      // allocations served by the pool
   uint64_t recycled_allocs = 0;  // ...of which reused a released block
-  uint64_t heap_allocs = 0;      // fallback allocations (disabled / oversize)
+  uint64_t heap_allocs = 0;      // oversized allocations (> kMaxPooledBytes)
 
   // Fraction of pooled allocations served by recycling rather than carving
   // fresh slab space — ~1.0 in steady state.

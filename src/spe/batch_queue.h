@@ -180,8 +180,6 @@ class BatchQueue {
     return approx_weight_.load(std::memory_order_relaxed);
   }
 
-  size_t capacity() const { return capacity_; }
-
  private:
   // Merges `batch` into the tail if stream order and the caps allow it.
   // Caller holds the lock.
@@ -190,8 +188,8 @@ class BatchQueue {
     // parked in the producer wait when Abort fired — must fail without
     // mutating the queue. The guard lives here, not only at the call sites,
     // so the no-coalesce-into-a-dead-tail rule holds structurally instead of
-    // by check ordering in Push (the queue_equivalence_test drives abort
-    // schedules through both this queue and SpscRing to pin it down).
+    // by check ordering in Push (spe_edge_stress_test's abort schedules pin
+    // it down).
     if (aborted_) return false;
     if (items_.empty()) return false;
     StreamBatch& tail = items_.back();

@@ -77,7 +77,7 @@ struct DataflowOptions {
   // Instrumentation woven into the lowered query: NP / GL / BL.
   ProvenanceMode mode = ProvenanceMode::kNone;
   // Data-plane and deployment knobs, stamped on every lowered topology
-  // (batch_size, spsc_edges, adaptive_batch) and consulted by the weaving
+  // (batch_size, adaptive_batch, scheduler) and consulted by the weaving
   // (use_tcp for inter-instance channels, composed_unfolders for the
   // Figure 5B/8 SU/MU constructions, async_prov_sink for the provenance
   // file writer). Untouched fields follow the process-wide env defaults.

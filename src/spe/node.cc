@@ -11,8 +11,6 @@ std::atomic<uint64_t> g_next_node_uid{1};
 
 }  // namespace
 
-bool DefaultSpscEdges() { return engine_defaults::SpscEdges(); }
-
 bool DefaultAdaptiveBatch() { return engine_defaults::AdaptiveBatch(); }
 
 Node::Node(std::string name)
@@ -21,7 +19,7 @@ Node::Node(std::string name)
 
 Endpoint Node::AddInput(size_t capacity) {
   if (in_queue_ == nullptr) {
-    in_queue_ = std::make_unique<StreamQueue>(capacity);
+    in_queue_ = std::make_unique<StreamEdge>(capacity);
   }
   return Endpoint{in_queue_.get(), static_cast<uint16_t>(num_ports_++)};
 }
@@ -97,7 +95,7 @@ bool SingleInputNode::ProcessBatch(StreamBatch& batch) {
 }
 
 void SingleInputNode::Run() {
-  StreamQueue* in = input_queue();
+  StreamEdge* in = input_queue();
   std::vector<StreamBatch> burst;
   for (;;) {
     burst.clear();

@@ -34,7 +34,6 @@
 
 #include "core/instrumentation.h"
 #include "spe/batch_queue.h"
-#include "spe/spsc_ring.h"
 #include "spe/stream_batch.h"
 
 namespace genealog {
@@ -44,38 +43,19 @@ inline constexpr size_t kDefaultBatchSize = 64;
 inline constexpr int64_t kWatermarkMin = std::numeric_limits<int64_t>::min();
 inline constexpr int64_t kWatermarkMax = std::numeric_limits<int64_t>::max();
 
-// Process-wide defaults for the data-plane knobs, read from the environment
-// once. GENEALOG_SPSC_RING=0 pins every edge to the mutex BatchQueue;
-// GENEALOG_ADAPTIVE_BATCH=0 pins the static (seed) flush threshold. Both
-// default on; Topology setters override per topology.
-bool DefaultSpscEdges();
+// Process-wide default for adaptive batching, read from the environment
+// once: GENEALOG_ADAPTIVE_BATCH=0 pins the static (seed) flush threshold.
+// Defaults on; Topology::set_adaptive_batch overrides per topology.
 bool DefaultAdaptiveBatch();
 
-// The physical stream between two operator threads. A StreamEdge owns one of
-// two interchangeable queue implementations and picks between them at
-// topology-build time:
-//
-//  * SpscRing — lock-free, for the dominant edge shape where every input
-//    port of the consumer is fed by the same producer node (one producer
-//    thread, one consumer thread);
-//  * BatchQueue — mutex + condvar, for edges with producer fan-in (parallel
-//    partitions merging into a Union, Multiplex taps, MU upstream ports fed
-//    by several Receive nodes) and for directly-constructed queues that
-//    never declare their producers.
-//
-// Topology::Connect calls RegisterProducer once per wired edge; the first
-// distinct producer upgrades the edge to the ring (unless SPSC is disabled),
-// a second distinct producer downgrades it back to the mutex queue. Both
-// swaps happen while the topology is still being built — queues are empty
-// and no node threads exist yet — so the implementation handoff is trivially
-// safe. The observable contract (coalescing rules, weight-based capacity,
-// blocking and abort semantics) is identical across implementations; the
-// queue_equivalence_test drives both through identical schedules to keep it
-// that way.
+// The physical stream between two operator threads: one BatchQueue (mutex +
+// condvar, weight-bounded, tail-coalescing) plus the pool scheduler's
+// readiness plumbing. Every edge shape — one producer, producer fan-in
+// (parallel partitions merging into a Union, Multiplex taps, MU upstream
+// ports fed by several Receive nodes) and directly-constructed queues — uses
+// the same queue.
 class StreamEdge {
  public:
-  enum class Kind : uint8_t { kMutex, kSpsc };
-
   // Readiness listener for the pool scheduler (spe/scheduler.h). At most one
   // per edge, attached after the topology is built and before execution
   // starts, detached after every node retired. Callbacks fire on the calling
@@ -90,33 +70,10 @@ class StreamEdge {
     virtual void RoomFreed() = 0;
   };
 
-  explicit StreamEdge(size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity),
-        mutex_(std::make_unique<BatchQueue>(capacity_)) {}
+  explicit StreamEdge(size_t capacity) : queue_(capacity == 0 ? 1 : capacity) {}
 
   StreamEdge(const StreamEdge&) = delete;
   StreamEdge& operator=(const StreamEdge&) = delete;
-
-  // --- build-time wiring (single-threaded, before any Push/Pop) ------------
-  // Allows/forbids the SPSC upgrade for this edge. Topology::Connect stamps
-  // the topology's policy before registering the producer.
-  void set_allow_spsc(bool allow) {
-    allow_spsc_ = allow;
-    ReselectImpl();
-  }
-
-  // Records the node producing into this edge. Every distinct producer is a
-  // distinct thread at run time, so fan-in decides the implementation.
-  void RegisterProducer(const void* producer) {
-    if (producer != nullptr &&
-        std::find(producers_.begin(), producers_.end(), producer) ==
-            producers_.end()) {
-      producers_.push_back(producer);
-    }
-    ReselectImpl();
-  }
-
-  Kind kind() const { return ring_ != nullptr ? Kind::kSpsc : Kind::kMutex; }
 
   // Attaches/detaches the scheduler's readiness listener. Pushes and pops by
   // any thread (pool workers and pinned node threads alike) fire through it,
@@ -131,51 +88,39 @@ class StreamEdge {
     producer_waiting_.store(true, std::memory_order_seq_cst);
   }
 
-  // --- data plane (forwarded to the selected implementation) ---------------
+  // --- data plane (BatchQueue's contract, plus the readiness signals) ------
   bool Push(StreamBatch batch, size_t max_coalesce) {
-    const bool ok = ring_ != nullptr
-                        ? ring_->Push(std::move(batch), max_coalesce)
-                        : mutex_->Push(std::move(batch), max_coalesce);
+    const bool ok = queue_.Push(std::move(batch), max_coalesce);
     if (ok) NotifyData();
     return ok;
   }
   PushStatus TryPush(StreamBatch& batch, size_t max_coalesce) {
-    const PushStatus status = ring_ != nullptr
-                                  ? ring_->TryPush(batch, max_coalesce)
-                                  : mutex_->TryPush(batch, max_coalesce);
+    const PushStatus status = queue_.TryPush(batch, max_coalesce);
     if (status == PushStatus::kOk) NotifyData();
     return status;
   }
   std::optional<StreamBatch> Pop() {
-    std::optional<StreamBatch> batch =
-        ring_ != nullptr ? ring_->Pop() : mutex_->Pop();
+    std::optional<StreamBatch> batch = queue_.Pop();
     if (batch.has_value()) NotifyRoom();
     return batch;
   }
   bool PopMany(std::vector<StreamBatch>& out) {
-    const bool ok = ring_ != nullptr ? ring_->PopMany(out) : mutex_->PopMany(out);
+    const bool ok = queue_.PopMany(out);
     if (ok) NotifyRoom();
     return ok;
   }
   std::optional<StreamBatch> TryPop() {
-    std::optional<StreamBatch> batch =
-        ring_ != nullptr ? ring_->TryPop() : mutex_->TryPop();
+    std::optional<StreamBatch> batch = queue_.TryPop();
     if (batch.has_value()) NotifyRoom();
     return batch;
   }
   PopStatus TryPopSome(std::vector<StreamBatch>& out, size_t max_batches) {
-    const PopStatus status = ring_ != nullptr
-                                 ? ring_->TryPopSome(out, max_batches)
-                                 : mutex_->TryPopSome(out, max_batches);
+    const PopStatus status = queue_.TryPopSome(out, max_batches);
     if (status == PopStatus::kPopped) NotifyRoom();
     return status;
   }
   void Abort() {
-    if (ring_ != nullptr) {
-      ring_->Abort();
-    } else {
-      mutex_->Abort();
-    }
+    queue_.Abort();
     // Parked tasks on either side must observe the abort: wake the consumer
     // (next TryPopSome reports kAborted once drained) and any spilled
     // producers (their retry discards the spill).
@@ -184,16 +129,9 @@ class StreamEdge {
       NotifyRoom();
     }
   }
-  size_t Size() const {
-    return ring_ != nullptr ? ring_->Size() : mutex_->Size();
-  }
-  size_t Weight() const {
-    return ring_ != nullptr ? ring_->Weight() : mutex_->Weight();
-  }
-  size_t ApproxWeight() const {
-    return ring_ != nullptr ? ring_->ApproxWeight() : mutex_->ApproxWeight();
-  }
-  size_t capacity() const { return capacity_; }
+  size_t Size() const { return queue_.Size(); }
+  size_t Weight() const { return queue_.Weight(); }
+  size_t ApproxWeight() const { return queue_.ApproxWeight(); }
 
  private:
   void NotifyData() {
@@ -211,34 +149,11 @@ class StreamEdge {
     }
   }
 
-  void ReselectImpl() {
-    const bool want_ring = allow_spsc_ && producers_.size() == 1;
-    if (want_ring == (ring_ != nullptr)) return;
-    // Implementation swaps are legal only while the edge is idle (topology
-    // build time); anything queued would be dropped.
-    assert(Size() == 0 && "StreamEdge implementation swap on a live queue");
-    if (want_ring) {
-      mutex_.reset();
-      ring_ = std::make_unique<SpscRing>(capacity_);
-    } else {
-      ring_.reset();
-      mutex_ = std::make_unique<BatchQueue>(capacity_);
-    }
-  }
-
-  const size_t capacity_;
-  bool allow_spsc_ = false;
-  std::vector<const void*> producers_;
-  // Exactly one is non-null; mutex_ is the safe default for queues that are
-  // used without declaring producers (tests, ad-hoc harnesses).
-  std::unique_ptr<BatchQueue> mutex_;
-  std::unique_ptr<SpscRing> ring_;
+  BatchQueue queue_;
   // Scheduler plumbing: null (and never fired) under thread-per-node.
   Signal* signal_ = nullptr;
   std::atomic<bool> producer_waiting_{false};
 };
-
-using StreamQueue = StreamEdge;
 
 // A producer-side handle to one logical input port of a downstream node.
 //
@@ -269,7 +184,7 @@ using StreamQueue = StreamEdge;
 class Endpoint {
  public:
   Endpoint() = default;
-  Endpoint(StreamQueue* queue, uint16_t port, size_t batch_size = 1)
+  Endpoint(StreamEdge* queue, uint16_t port, size_t batch_size = 1)
       : queue_(queue), port_(port) {
     set_batch_size(batch_size);
     pending_.port = port;
@@ -336,7 +251,7 @@ class Endpoint {
     return true;
   }
 
-  StreamQueue* queue() const { return queue_; }
+  StreamEdge* queue() const { return queue_; }
 
   // All return false when the downstream queue was aborted, which the Run
   // loops treat as a request to stop.
@@ -438,7 +353,7 @@ class Endpoint {
     }
   }
 
-  StreamQueue* queue_ = nullptr;
+  StreamEdge* queue_ = nullptr;
   uint16_t port_ = 0;
   size_t batch_size_ = 1;
   size_t effective_batch_ = 1;
@@ -516,7 +431,7 @@ class Node {
   // --- wiring (used by Topology) -------------------------------------------
   // Registers a new logical input port and returns the producer-side handle.
   Endpoint AddInput(size_t capacity = kDefaultQueueCapacity);
-  StreamQueue* input_queue() { return in_queue_.get(); }
+  StreamEdge* input_queue() { return in_queue_.get(); }
   size_t num_inputs() const { return num_ports_; }
 
   void AddOutput(Endpoint e) { outputs_.push_back(std::move(e)); }
@@ -581,7 +496,7 @@ class Node {
   ProvenanceMode mode_ = ProvenanceMode::kNone;
   int64_t last_forwarded_wm_ = kWatermarkMin;
   std::atomic<uint64_t> tuples_processed_{0};
-  std::unique_ptr<StreamQueue> in_queue_;
+  std::unique_ptr<StreamEdge> in_queue_;
   size_t num_ports_ = 0;
 };
 

@@ -173,10 +173,10 @@ void WorkerPool::Start(std::function<void(std::exception_ptr)> on_error) {
     return raw;
   };
   for (auto& task : tasks_) {
-    if (StreamQueue* in = task->node->input_queue()) {
+    if (StreamEdge* in = task->node->input_queue()) {
       signal_for(in)->consumer = task.get();
     }
-    task->node->ForEachOutputQueue([&](StreamQueue* out) {
+    task->node->ForEachOutputQueue([&](StreamEdge* out) {
       signal_for(out)->producers.push_back(task.get());
     });
     task->node->EnterPoolMode();

@@ -1,6 +1,8 @@
 #include "spe/topology.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/memory_accounting.h"
@@ -8,18 +10,21 @@
 
 namespace genealog {
 
+Topology::Topology(int instance_id, ProvenanceMode mode)
+    : instance_id_(instance_id), mode_(mode) {
+  if (instance_id < 0 || instance_id >= mem::kMaxInstances) {
+    throw std::logic_error(
+        "Topology: instance id " + std::to_string(instance_id) +
+        " is outside [0, " + std::to_string(mem::kMaxInstances) +
+        ") (mem::kMaxInstances, the memory-accounting limit)");
+  }
+}
+
 size_t Topology::Connect(Node* from, Node* to, size_t capacity,
                          size_t batch_size) {
   Endpoint e = to->AddInput(capacity);
   e.set_batch_size(batch_size == 0 ? default_batch_size_ : batch_size);
   e.set_adaptive(adaptive_batch_);
-  // Edge selection: the consumer's queue picks the lock-free SPSC ring while
-  // all its ports are fed by one producer node (one producer thread), and
-  // falls back to the mutex BatchQueue the moment a second producer wires in
-  // (parallel merges, taps, MU fan-in). Build-time only — no threads yet.
-  StreamQueue* queue = to->input_queue();
-  queue->set_allow_spsc(spsc_edges_);
-  queue->RegisterProducer(from);
   const size_t port = e.port();
   from->AddOutput(std::move(e));
   return port;

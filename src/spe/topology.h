@@ -31,8 +31,11 @@ class Abortable {
 
 class Topology {
  public:
-  explicit Topology(int instance_id = 0, ProvenanceMode mode = ProvenanceMode::kNone)
-      : instance_id_(instance_id), mode_(mode) {}
+  // Throws std::logic_error unless 0 <= instance_id < mem::kMaxInstances:
+  // every tuple a node creates is accounted to its instance's memory
+  // counters, which exist for that many instances only.
+  explicit Topology(int instance_id = 0,
+                    ProvenanceMode mode = ProvenanceMode::kNone);
 
   int instance_id() const { return instance_id_; }
   ProvenanceMode mode() const { return mode_; }
@@ -43,13 +46,6 @@ class Topology {
   void set_default_batch_size(size_t n) {
     default_batch_size_ = n == 0 ? 1 : n;
   }
-
-  // Edge implementation policy: when true (default unless
-  // GENEALOG_SPSC_RING=0), Connect upgrades single-producer edges to the
-  // lock-free SPSC ring; multi-producer edges always keep the mutex
-  // BatchQueue. When false, every edge uses the mutex queue.
-  bool spsc_edges() const { return spsc_edges_; }
-  void set_spsc_edges(bool enabled) { spsc_edges_ = enabled; }
 
   // Adaptive batch sizing policy stamped on every endpoint wired by Connect
   // (default unless GENEALOG_ADAPTIVE_BATCH=0): endpoints steer their flush
@@ -70,14 +66,12 @@ class Topology {
   size_t workers() const { return workers_; }
   void set_workers(size_t n) { workers_ = n; }
 
-  // Stamps the data-plane subset of a unified EngineOptions (batch size, edge
-  // implementation, adaptive batching, scheduler) in one call; the per-knob
-  // setters above remain for targeted overrides. The process-wide knobs
-  // (tuple_pool, epoch_traversal) and the provenance-sink policy are not
-  // topology state and are ignored here.
+  // Stamps the data-plane subset of a unified EngineOptions (batch size,
+  // adaptive batching, scheduler) in one call; the per-knob setters above
+  // remain for targeted overrides. The process-wide epoch_traversal knob and
+  // the provenance-sink policy are not topology state and are ignored here.
   void Configure(const EngineOptions& engine) {
     set_default_batch_size(engine.batch_size);
-    set_spsc_edges(engine.spsc_edges);
     set_adaptive_batch(engine.adaptive_batch);
     set_scheduler(engine.scheduler);
     set_workers(engine.workers);
@@ -119,7 +113,6 @@ class Topology {
   int instance_id_;
   ProvenanceMode mode_;
   size_t default_batch_size_ = kDefaultBatchSize;
-  bool spsc_edges_ = DefaultSpscEdges();
   bool adaptive_batch_ = DefaultAdaptiveBatch();
   SchedulerMode scheduler_ = engine_defaults::Scheduler();
   size_t workers_ = engine_defaults::Workers();

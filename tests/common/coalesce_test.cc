@@ -16,7 +16,7 @@ namespace {
 using testing::V;
 
 TEST(BatchQueueCoalesceTest, ConsecutiveWatermarksCollapse) {
-  auto queue = std::make_unique<StreamQueue>(64);
+  auto queue = std::make_unique<StreamEdge>(64);
   Endpoint e{queue.get(), 0};
   e.PushWatermark(5);
   e.PushWatermark(9);
@@ -29,7 +29,7 @@ TEST(BatchQueueCoalesceTest, ConsecutiveWatermarksCollapse) {
 }
 
 TEST(BatchQueueCoalesceTest, DifferentPortsDoNotMerge) {
-  auto queue = std::make_unique<StreamQueue>(64);
+  auto queue = std::make_unique<StreamEdge>(64);
   Endpoint a{queue.get(), 0};
   Endpoint b{queue.get(), 1};
   a.PushWatermark(5);
@@ -40,7 +40,7 @@ TEST(BatchQueueCoalesceTest, DifferentPortsDoNotMerge) {
 TEST(BatchQueueCoalesceTest, WatermarkJoinsTailTupleBatch) {
   // A watermark following a tuple lands in the same batch (it applies after
   // the tuples), so the pair costs one queue slot.
-  auto queue = std::make_unique<StreamQueue>(64);
+  auto queue = std::make_unique<StreamEdge>(64);
   Endpoint e{queue.get(), 0};
   e.PushTuple(V(6, 1));
   e.PushWatermark(7);
@@ -56,7 +56,7 @@ TEST(BatchQueueCoalesceTest, WatermarkJoinsTailTupleBatch) {
 TEST(BatchQueueCoalesceTest, TuplesNeverMergeAtBatchSizeOne) {
   // Batch size 1 reproduces the unbatched engine: every tuple is its own
   // queue entry.
-  auto queue = std::make_unique<StreamQueue>(64);
+  auto queue = std::make_unique<StreamEdge>(64);
   Endpoint e{queue.get(), 0, /*batch_size=*/1};
   e.PushTuple(V(1, 1));
   e.PushTuple(V(2, 2));
@@ -66,7 +66,7 @@ TEST(BatchQueueCoalesceTest, TuplesNeverMergeAtBatchSizeOne) {
 }
 
 TEST(BatchQueueCoalesceTest, TuplesChunkUpToBatchSize) {
-  auto queue = std::make_unique<StreamQueue>(64);
+  auto queue = std::make_unique<StreamEdge>(64);
   Endpoint e{queue.get(), 0, /*batch_size=*/4};
   for (int i = 0; i < 10; ++i) {
     // Alternate tuple + watermark advance: the watermark flushes the pending
@@ -93,7 +93,7 @@ TEST(BatchQueueCoalesceTest, TuplesChunkUpToBatchSize) {
 }
 
 TEST(BatchQueueCoalesceTest, FlushMergesIntoTailButSealsIt) {
-  auto queue = std::make_unique<StreamQueue>(64);
+  auto queue = std::make_unique<StreamEdge>(64);
   Endpoint e{queue.get(), 0, /*batch_size=*/8};
   e.PushTuple(V(1, 1));
   e.PushFlush();
@@ -111,7 +111,7 @@ TEST(BatchQueueCoalesceTest, FlushMergesIntoTailButSealsIt) {
 }
 
 TEST(BatchQueueCoalesceTest, WatermarkMergesIntoFullQueueWithoutBlocking) {
-  auto queue = std::make_unique<StreamQueue>(2);
+  auto queue = std::make_unique<StreamEdge>(2);
   Endpoint e{queue.get(), 0};
   e.PushTuple(V(1, 1));
   e.PushTuple(V(2, 2));  // queue now at weight capacity
@@ -125,8 +125,64 @@ TEST(BatchQueueCoalesceTest, WatermarkMergesIntoFullQueueWithoutBlocking) {
   EXPECT_EQ(tail->watermark, 9);
 }
 
+TEST(BatchQueueCoalesceTest, WeightCountsTuplesAndControlBatches) {
+  auto queue = std::make_unique<StreamEdge>(64);
+  StreamBatch data;
+  data.tuples.push_back(V(1, 1));
+  data.tuples.push_back(V(2, 2));
+  data.tuples.push_back(V(3, 3));
+  queue->Push(std::move(data), 3);
+  EXPECT_EQ(queue->Weight(), 3u);  // tuples are the unit
+  StreamBatch control;
+  control.port = 1;  // different port: no merge
+  control.watermark = 9;
+  queue->Push(std::move(control), 3);
+  EXPECT_EQ(queue->Weight(), 4u);  // control-only batches weigh 1
+  EXPECT_EQ(queue->Size(), 2u);
+  queue->TryPop();
+  EXPECT_EQ(queue->Weight(), 1u);
+  queue->TryPop();
+  EXPECT_EQ(queue->Weight(), 0u);
+}
+
+TEST(BatchQueueCoalesceTest, MergeUpToWeightCapacity) {
+  auto queue = std::make_unique<StreamEdge>(3);
+  StreamBatch two;
+  two.tuples.push_back(V(1, 1));
+  two.tuples.push_back(V(2, 2));
+  queue->Push(std::move(two), 8);
+  queue->Push(StreamBatch::MakeTuple(V(3, 3)), 8);  // 2+1 = 3 <= 3: merges
+  EXPECT_EQ(queue->Size(), 1u);
+  EXPECT_EQ(queue->Weight(), 3u);
+}
+
+TEST(BatchQueueCoalesceTest, MergeRefusedByWeightLandsAsOwnBatch) {
+  auto queue = std::make_unique<StreamEdge>(3);
+  StreamBatch two;
+  two.tuples.push_back(V(1, 1));
+  two.tuples.push_back(V(2, 2));
+  queue->Push(std::move(two), 8);
+  // 2+2 tuples fit max_coalesce 8 but would exceed weight capacity 3: the
+  // merge is refused and the push blocks until the consumer drains.
+  std::thread producer([&] {
+    StreamBatch more;
+    more.tuples.push_back(V(3, 3));
+    more.tuples.push_back(V(4, 4));
+    ASSERT_TRUE(queue->Push(std::move(more), 8));
+  });
+  auto first = queue->Pop();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->tuples.size(), 2u);  // unmerged: capacity held
+  EXPECT_EQ(first->tuples[0]->ts, 1);
+  producer.join();
+  auto second = queue->Pop();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->tuples.size(), 2u);
+  EXPECT_EQ(second->tuples[0]->ts, 3);
+}
+
 TEST(BatchQueueCoalesceTest, AbortedQueueRejects) {
-  auto queue = std::make_unique<StreamQueue>(2);
+  auto queue = std::make_unique<StreamEdge>(2);
   queue->Abort();
   Endpoint e{queue.get(), 0};
   EXPECT_FALSE(e.PushWatermark(1));
@@ -136,7 +192,7 @@ TEST(BatchQueueCoalesceTest, AbortedQueueRejects) {
 TEST(BatchQueueCoalesceTest, OversizedBatchEntersEmptyQueue) {
   // A batch bigger than the queue capacity must not deadlock: it is admitted
   // once the queue is empty.
-  auto queue = std::make_unique<StreamQueue>(2);
+  auto queue = std::make_unique<StreamEdge>(2);
   Endpoint e{queue.get(), 0, /*batch_size=*/8};
   for (int i = 0; i < 8; ++i) e.PushTuple(V(i, i));  // flushes at 8 > cap 2
   EXPECT_EQ(queue->Size(), 1u);
@@ -149,18 +205,8 @@ TEST(BatchQueueCoalesceTest, OversizedBatchEntersEmptyQueue) {
 // up during teardown. The schedule arranges exactly that temptation: the
 // blocked batch is coalescible with the tail, and a post-abort pop frees
 // enough weight that a retry-coalesce would succeed if it were attempted.
-// Runs against both edge implementations (the ring's producer is the helper
-// thread; the main thread only pops — legal SPSC roles).
-class AbortDuringProducerWaitTest
-    : public ::testing::TestWithParam<StreamEdge::Kind> {};
-
-TEST_P(AbortDuringProducerWaitTest, DoesNotCoalesceIntoDeadTail) {
-  auto queue = std::make_unique<StreamQueue>(2);
-  if (GetParam() == StreamEdge::Kind::kSpsc) {
-    queue->set_allow_spsc(true);
-    queue->RegisterProducer(queue.get());
-    ASSERT_EQ(queue->kind(), StreamEdge::Kind::kSpsc);
-  }
+TEST(AbortDuringProducerWaitTest, DoesNotCoalesceIntoDeadTail) {
+  auto queue = std::make_unique<StreamEdge>(2);
   std::atomic<bool> push_result{true};
   std::thread producer([&] {
     // Two weight-1 batches fill the queue; the third is coalescible with the
@@ -206,12 +252,8 @@ TEST_P(AbortDuringProducerWaitTest, DoesNotCoalesceIntoDeadTail) {
   EXPECT_FALSE(queue->Pop().has_value());
 }
 
-INSTANTIATE_TEST_SUITE_P(EdgeKinds, AbortDuringProducerWaitTest,
-                         ::testing::Values(StreamEdge::Kind::kMutex,
-                                           StreamEdge::Kind::kSpsc));
-
 TEST(BatchQueueCoalesceTest, ConcurrentProducersStayConsistent) {
-  auto queue = std::make_unique<StreamQueue>(4096);
+  auto queue = std::make_unique<StreamEdge>(4096);
   constexpr int kPerProducer = 20000;
   std::vector<std::thread> producers;
   for (int p = 0; p < 4; ++p) {

@@ -5,11 +5,10 @@
 // must be masked and why) per query x {intra, distributed} x batch {1, 64}.
 // The digests were recorded from the hand-wired deployment assembly this
 // lowering replaced, so they pin the output to that independent reference
-// at every sweep point. Q1 is swept across batch {1, 64} x edge {ring,
-// mutex}; Q2–Q4 ride the ring at batch {1, 64} — their plans exercise what
-// Q1 cannot (chained aggregates, window-end emission, Multiplex fan-out,
-// Join), the edge implementation is already pinned by Q1. Distributed sweeps
-// also run the raw and compact wire codecs. The physical plans are pinned
+// at every sweep point: batch {1, 64} for every query — Q2–Q4's plans
+// exercise what Q1 cannot (chained aggregates, window-end emission,
+// Multiplex fan-out, Join). Distributed sweeps also run the raw and compact
+// wire codecs. The physical plans are pinned
 // too: instance, SU and channel counts per provenance mode and deployment.
 #include <gtest/gtest.h>
 
@@ -126,7 +125,7 @@ std::string Hex(uint64_t v) {
   return buf;
 }
 
-QueryBuildOptions MakeOptions(bool distributed, size_t batch, bool spsc,
+QueryBuildOptions MakeOptions(bool distributed, size_t batch,
                               const std::string& file,
                               std::vector<std::string>& sink_out,
                               WireCodec codec = WireCodec::kRaw) {
@@ -134,7 +133,6 @@ QueryBuildOptions MakeOptions(bool distributed, size_t batch, bool spsc,
   options.mode = ProvenanceMode::kGenealog;
   options.distributed = distributed;
   options.batch_size = batch;
-  options.spsc_edges = spsc;
   options.wire_codec = codec;
   options.provenance_file = file;
   options.sink_consumer = [&sink_out](const TuplePtr& t) {
@@ -145,11 +143,11 @@ QueryBuildOptions MakeOptions(bool distributed, size_t batch, bool spsc,
 
 template <typename Builder, typename Data>
 RunArtifacts RunOne(Builder&& builder, const Data& data, bool distributed,
-                    size_t batch, bool spsc, const std::string& path,
+                    size_t batch, const std::string& path,
                     WireCodec codec = WireCodec::kRaw) {
   RunArtifacts out;
-  BuiltQuery q = builder(data, MakeOptions(distributed, batch, spsc, path,
-                                           out.ordered_sink, codec));
+  BuiltQuery q = builder(
+      data, MakeOptions(distributed, batch, path, out.ordered_sink, codec));
   q.Run();
   out.records = q.provenance_records();
   out.provenance = CanonicalProvenanceBytes(path);
@@ -172,56 +170,53 @@ void ExpectGolden(const RunArtifacts& run, const std::string& query,
 // channels to encode).
 template <typename Builder, typename Data>
 void SweepGolden(const char* name, Builder builder, const Data& data,
-                 bool distributed, std::vector<bool> spsc_values,
+                 bool distributed,
                  std::vector<WireCodec> codecs = {WireCodec::kRaw}) {
   const std::string path = ::testing::TempDir() + "/dfeq.bin";
   for (const size_t batch : {size_t{1}, size_t{64}}) {
-    for (const bool spsc : spsc_values) {
-      for (const WireCodec codec : codecs) {
-        SCOPED_TRACE(std::string(name) + " batch " + std::to_string(batch) +
-                     " spsc " + std::to_string(spsc) + " codec " +
-                     (codec == WireCodec::kCompact ? "compact" : "raw"));
-        ExpectGolden(
-            RunOne(builder, data, distributed, batch, spsc, path, codec),
-            name, distributed, batch);
-      }
+    for (const WireCodec codec : codecs) {
+      SCOPED_TRACE(std::string(name) + " batch " + std::to_string(batch) +
+                   " codec " +
+                   (codec == WireCodec::kCompact ? "compact" : "raw"));
+      ExpectGolden(RunOne(builder, data, distributed, batch, path, codec),
+                   name, distributed, batch);
     }
   }
 }
 
 TEST(DataflowEquivalenceTest, Q1GenealogIntra) {
-  SweepGolden("Q1", BuildQ1, SmallLr(), /*distributed=*/false, {true, false});
+  SweepGolden("Q1", BuildQ1, SmallLr(), /*distributed=*/false);
 }
 
 TEST(DataflowEquivalenceTest, Q1GenealogDistributed) {
-  SweepGolden("Q1", BuildQ1, SmallLr(), /*distributed=*/true, {true, false},
+  SweepGolden("Q1", BuildQ1, SmallLr(), /*distributed=*/true,
               {WireCodec::kRaw, WireCodec::kCompact});
 }
 
 TEST(DataflowEquivalenceTest, Q2GenealogIntra) {
-  SweepGolden("Q2", BuildQ2, AccidentLr(), /*distributed=*/false, {true});
+  SweepGolden("Q2", BuildQ2, AccidentLr(), /*distributed=*/false);
 }
 
 TEST(DataflowEquivalenceTest, Q2GenealogDistributed) {
-  SweepGolden("Q2", BuildQ2, AccidentLr(), /*distributed=*/true, {true},
+  SweepGolden("Q2", BuildQ2, AccidentLr(), /*distributed=*/true,
               {WireCodec::kRaw, WireCodec::kCompact});
 }
 
 TEST(DataflowEquivalenceTest, Q3GenealogIntra) {
-  SweepGolden("Q3", BuildQ3, SmallSg(), /*distributed=*/false, {true});
+  SweepGolden("Q3", BuildQ3, SmallSg(), /*distributed=*/false);
 }
 
 TEST(DataflowEquivalenceTest, Q3GenealogDistributed) {
-  SweepGolden("Q3", BuildQ3, SmallSg(), /*distributed=*/true, {true},
+  SweepGolden("Q3", BuildQ3, SmallSg(), /*distributed=*/true,
               {WireCodec::kRaw, WireCodec::kCompact});
 }
 
 TEST(DataflowEquivalenceTest, Q4GenealogIntra) {
-  SweepGolden("Q4", BuildQ4, SmallSg(), /*distributed=*/false, {true});
+  SweepGolden("Q4", BuildQ4, SmallSg(), /*distributed=*/false);
 }
 
 TEST(DataflowEquivalenceTest, Q4GenealogDistributed) {
-  SweepGolden("Q4", BuildQ4, SmallSg(), /*distributed=*/true, {true},
+  SweepGolden("Q4", BuildQ4, SmallSg(), /*distributed=*/true,
               {WireCodec::kRaw, WireCodec::kCompact});
 }
 
@@ -250,7 +245,7 @@ TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceIntra) {
           return BuildQ1(d, std::move(options));
         };
         ExpectGolden(RunOne(parallel_builder, data, /*distributed=*/false,
-                            batch, true, path),
+                            batch, path),
                      "Q1", /*distributed=*/false, batch);
       }
     }
@@ -275,7 +270,7 @@ TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceDistributed) {
           return BuildQ1(d, std::move(options));
         };
         ExpectGolden(RunOne(parallel_builder, data, /*distributed=*/true,
-                            batch, true, path, codec),
+                            batch, path, codec),
                      "Q1", /*distributed=*/true, batch);
       }
     }

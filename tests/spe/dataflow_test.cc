@@ -2,8 +2,8 @@
 // left/right, Union merge order, Multiplex taps), provenance weaving per
 // ProvenanceMode (SU/MU/provenance sink for GL, taps + resolver for BL,
 // nothing for NP), deployment cuts (Send/Receive over channels), edge
-// policies (EngineOptions batch size / SPSC vs mutex edges), and plan
-// validation errors.
+// policies (EngineOptions batch size / adaptive batching), the instance-id
+// limit, and plan validation errors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "baseline/resolver.h"
+#include "common/memory_accounting.h"
 #include "genealog/provenance_sink.h"
 #include "genealog/su.h"
 #include "spe/dataflow.h"
@@ -230,7 +231,6 @@ TEST(DataflowTest, BaselineDistributedShipsSourceStream) {
 TEST(DataflowTest, EngineOptionsStampEveryTopology) {
   DataflowOptions opts;
   opts.engine.batch_size = 64;
-  opts.engine.spsc_edges = false;
   opts.engine.adaptive_batch = false;
   Dataflow df(std::move(opts));
   df.Source<ValueTuple>("src", Values(4))
@@ -240,57 +240,68 @@ TEST(DataflowTest, EngineOptionsStampEveryTopology) {
   BuiltQuery flow = df.Build();
   for (const auto& topo : flow.topologies) {
     EXPECT_EQ(topo->default_batch_size(), 64u);
-    EXPECT_FALSE(topo->spsc_edges());
     EXPECT_FALSE(topo->adaptive_batch());
-  }
-  // With SPSC disabled, even single-producer edges use the mutex queue.
-  for (const auto& topo : flow.topologies) {
-    for (const auto& node : topo->nodes()) {
-      if (node->input_queue() != nullptr) {
-        EXPECT_EQ(node->input_queue()->kind(), StreamEdge::Kind::kMutex);
-      }
-    }
   }
   flow.Run();
   EXPECT_EQ(flow.sink->count(), 4u);
 }
 
-TEST(DataflowTest, SingleProducerEdgesUpgradeToSpscRing) {
-  DataflowOptions opts;
-  opts.engine.spsc_edges = true;
-  Dataflow df(std::move(opts));
-  auto a = df.Source<ValueTuple>("a", Values(4));
-  auto b = df.Source<ValueTuple>("b", Values(4));
-  // The Union is fed by two *distinct* producer nodes (two threads) — it
-  // must stay on the mutex queue; the single-producer sink edge rides the
-  // ring. A Multiplex's taps both come from one node, so even a fan-out
-  // into one consumer keeps the ring (covered by the mux flow below).
-  a.Union("u", b).Sink("k");
-  BuiltQuery flow = df.Build();
-  const Topology& topo = *flow.topologies[0];
-  for (const auto& node : topo.nodes()) {
-    if (node->input_queue() == nullptr) continue;
-    const auto want = node->name() == "u" ? StreamEdge::Kind::kMutex
-                                          : StreamEdge::Kind::kSpsc;
-    EXPECT_EQ(node->input_queue()->kind(), want) << node->name();
-  }
-  flow.Run();
-  EXPECT_EQ(flow.sink->count(), 8u);
+// --- instance-id limit ------------------------------------------------------
 
-  // One producer node, two taps into one merging consumer: still SPSC.
-  DataflowOptions opts2;
-  opts2.engine.spsc_edges = true;  // pin against GENEALOG_SPSC_RING=0
-  Dataflow df2(std::move(opts2));
-  auto taps = df2.Source<ValueTuple>("src", Values(4)).Multiplex("mux", 2);
-  taps[0].Union("u2", taps[1]).Sink("k2");
-  BuiltQuery flow2 = df2.Build();
-  for (const auto& node : flow2.topologies[0]->nodes()) {
-    if (node->input_queue() == nullptr) continue;
-    EXPECT_EQ(node->input_queue()->kind(), StreamEdge::Kind::kSpsc)
-        << node->name();
+// A two-instance chain: source on instance 1, the filter and sink on
+// `instance`.
+Dataflow ChainAt(ProvenanceMode mode, int instance) {
+  DataflowOptions opts;
+  opts.mode = mode;
+  Dataflow df(std::move(opts));
+  df.Source<ValueTuple>("src", Values(5))
+      .At(instance)
+      .Filter("f", [](const ValueTuple&) { return true; })
+      .Sink("k");
+  return df;
+}
+
+// Build() must reject the plan with an error citing the limit, before any
+// tuple is accounted to an instance the memory counters do not have.
+void ExpectInstanceLimitError(Dataflow& df) {
+  try {
+    df.Build();
+    ADD_FAILURE() << "Build() accepted an instance id >= mem::kMaxInstances";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxInstances"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find(std::to_string(mem::kMaxInstances)),
+              std::string::npos)
+        << e.what();
   }
-  flow2.Run();
-  EXPECT_EQ(flow2.sink->count(), 8u);
+}
+
+TEST(DataflowTest, InstanceIdAtTheLimitIsRejected) {
+  Dataflow df = ChainAt(ProvenanceMode::kNone, mem::kMaxInstances);
+  ExpectInstanceLimitError(df);
+}
+
+// Distributed GL adds a provenance instance above the highest one in the
+// plan, so the highest usable operator instance is one lower.
+TEST(DataflowTest, GenealogProvenanceInstanceCountsAgainstTheLimit) {
+  Dataflow df = ChainAt(ProvenanceMode::kGenealog, mem::kMaxInstances - 1);
+  ExpectInstanceLimitError(df);
+}
+
+TEST(DataflowTest, GenealogDistributedBelowTheLimitRuns) {
+  Dataflow df = ChainAt(ProvenanceMode::kGenealog, mem::kMaxInstances - 2);
+  BuiltQuery flow = df.Build();
+  ASSERT_EQ(flow.topologies.size(), 3u);
+  EXPECT_EQ(flow.topologies.back()->instance_id(), mem::kMaxInstances - 1);
+  flow.Run();
+  EXPECT_EQ(flow.sink->count(), 5u);
+  EXPECT_EQ(flow.provenance_records(), 5u);
+}
+
+TEST(DataflowTest, HandBuiltTopologyRejectsOutOfRangeInstanceIds) {
+  EXPECT_THROW(Topology(-1), std::logic_error);
+  EXPECT_THROW(Topology(mem::kMaxInstances), std::logic_error);
+  EXPECT_NO_THROW(Topology(mem::kMaxInstances - 1));
 }
 
 // --- parallel stages --------------------------------------------------------

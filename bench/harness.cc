@@ -24,9 +24,6 @@ BenchEnv ReadBenchEnv() {
     env.replays = std::max(1, std::atoi(replays));
   }
   env.engine = EngineOptions::FromEnv();
-  // The process-wide switch may have been flipped programmatically; record
-  // its live state, not the env default.
-  env.engine.epoch_traversal = EpochTraversalEnabled();
   if (const char* dir = std::getenv("GENEALOG_BENCH_JSON_DIR")) {
     env.json_dir = dir;
   }
@@ -198,12 +195,9 @@ const char* VariantName(ProvenanceMode mode) { return ToString(mode); }
 
 void WritePoolStatsFields(std::FILE* f) {
   const pool::Stats s = pool::GetStats();
-  std::fprintf(f,
-               "\"adaptive_batch\": %s,\n  "
-               "\"epoch_traversal\": %s,\n  \"async_prov_sink\": %s,\n  ",
-               DefaultAdaptiveBatch() ? "true" : "false",
-               EpochTraversalEnabled() ? "true" : "false",
-               DefaultAsyncProvSink() ? "true" : "false");
+  std::fprintf(f, "\"adaptive_batch\": %s,\n  \"async_prov_sink\": %s,\n  ",
+               engine_defaults::AdaptiveBatch() ? "true" : "false",
+               engine_defaults::AsyncProvSink() ? "true" : "false");
   std::fprintf(f,
                "\"pool\": {\"slabs\": %llu, \"slab_bytes\": %llu, "
                "\"pool_allocs\": %llu, \"recycled_allocs\": %llu, "
@@ -288,10 +282,10 @@ void WriteBenchJson(const std::string& bench, const BenchEnv& env,
   std::fprintf(f,
                "{\n  \"bench\": \"%s\",\n  \"reps\": %d,\n"
                "  \"scale\": %g,\n  \"replays\": %d,\n"
-               "  \"wire_codec\": \"%s\",\n  \"wire_block_compress\": %s,\n  ",
+               "  \"wire_codec\": \"%s\",\n  ",
                bench.c_str(), env.reps, env.scale, env.replays,
-               env.engine.wire_codec == WireCodec::kCompact ? "compact" : "raw",
-               env.engine.wire_block_compress ? "true" : "false");
+               env.engine.wire_codec == WireCodec::kCompact ? "compact"
+                                                            : "raw");
   WritePoolStatsFields(f);
   std::fprintf(f, ",\n  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {

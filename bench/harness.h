@@ -18,9 +18,6 @@
 //   GENEALOG_ADAPTIVE_BATCH 0 pins the static flush threshold (default:
 //                           endpoints steer it within [1, batch] from
 //                           consumer queue depth)
-//   GENEALOG_EPOCH_TRAVERSAL 0 pins FindProvenance to the pointer-set
-//                           visited check (default: mark-word epoch fast
-//                           path, hash-set fallback under concurrency)
 //   GENEALOG_ASYNC_PROV_SINK 0 makes the provenance sink fwrite on the
 //                           operator thread (default: double-buffered
 //                           background writer)
@@ -44,8 +41,7 @@ struct BenchEnv {
   double scale = 1.0;
   int replays = 12;
   // The unified knob snapshot (common/engine_options.h): GENEALOG_BATCH_SIZE
-  // plus every boolean GENEALOG_* policy, with the process-wide epoch
-  // traversal switch refined from its live state.
+  // plus every other GENEALOG_* engine knob.
   EngineOptions engine;
   std::string json_dir = ".";
 };
@@ -144,8 +140,8 @@ struct BenchJsonRow {
 // their sum, so 0 means no cell measured latency.
 CellMetrics MeanCells(const std::vector<CellMetrics>& cells);
 
-// Writes the shared `"adaptive_batch": ..., "epoch_traversal": ...,
-// "async_prov_sink": ..., "pool": {...}` JSON fragment used by every
+// Writes the shared `"adaptive_batch": ..., "async_prov_sink": ...,
+// "pool": {...}` JSON fragment used by every
 // BENCH_*.json writer, so the artifact series stays field-for-field uniform.
 // The knob fields record the *process-wide env defaults*; cells that
 // override them programmatically (bench_micro_genealog's in-binary

@@ -1,50 +1,46 @@
 // The engine's data-plane and provenance-plane knobs, collected in one
 // struct so every layer spells them the same way.
 //
-// One knob, three spellings used to exist (environment variable, Topology
-// setter, QueryBuildOptions field); EngineOptions is now the single source of
-// truth: a default-constructed instance carries the process-wide defaults
-// (each boolean policy honoring its GENEALOG_* environment variable via
-// env_knob.h), Topology::Configure stamps the data-plane subset on a
-// topology, QueryBuildOptions embeds the struct as a base, the dataflow
-// builder forwards it to every topology it lowers, and the bench harness
-// records the same instance in BENCH_*.json.
+// EngineOptions is the single source of truth: a default-constructed
+// instance carries the process-wide defaults (each honoring its GENEALOG_*
+// environment variable, parsed strictly by env_knob.h), Topology::Configure
+// stamps the data-plane subset on a topology, QueryBuildOptions embeds the
+// struct as a base, the dataflow builder forwards it to every topology it
+// lowers, and the bench harness records the same instance in BENCH_*.json.
 //
-// | Field            | Env var                  | Default         |
-// |------------------|--------------------------|-----------------|
-// | batch_size       | GENEALOG_BATCH_SIZE      | 64              |
-// | adaptive_batch   | GENEALOG_ADAPTIVE_BATCH  | on              |
-// | epoch_traversal  | GENEALOG_EPOCH_TRAVERSAL | on              |
-// | async_prov_sink  | GENEALOG_ASYNC_PROV_SINK | on              |
-// | prov_buffer_bytes | —                       | 256 KiB         |
-// | scheduler        | GENEALOG_SCHEDULER       | thread-per-node |
-// | workers          | GENEALOG_WORKERS         | 0 (= all cores) |
-// | lineage_store    | GENEALOG_LINEAGE_STORE   | off             |
-// | lineage_retain_records | GENEALOG_LINEAGE_RETAIN_RECORDS | 1M (0 = unbounded) |
-// | lineage_retain_span    | GENEALOG_LINEAGE_RETAIN_SPAN    | 0 (= no horizon)   |
-// | lineage_serve_addr | GENEALOG_LINEAGE_SERVE_ADDR | "" (= no serving) |
-// | wire_codec       | GENEALOG_WIRE_CODEC      | compact         |
-// | wire_block_compress | GENEALOG_WIRE_BLOCK_COMPRESS | on (compact only) |
-// | use_tcp          | —                        | off             |
-// | composed_unfolders | —                      | off             |
+// | Field                  | Variable (GENEALOG_*)  | Default           |
+// |------------------------|------------------------|-------------------|
+// | batch_size             | BATCH_SIZE (FromEnv)   | 64                |
+// | adaptive_batch         | ADAPTIVE_BATCH         | 1                 |
+// | async_prov_sink        | ASYNC_PROV_SINK        | 1                 |
+// | prov_buffer_bytes      | —                      | 256 KiB           |
+// | scheduler              | SCHEDULER              | thread-per-node   |
+// | workers                | WORKERS                | 0 (= all cores)   |
+// | lineage_store          | LINEAGE_STORE          | 0                 |
+// | lineage_retain_records | LINEAGE_RETAIN_RECORDS | 1M (0 = no bound) |
+// | lineage_retain_span    | LINEAGE_RETAIN_SPAN    | 0 (= no horizon)  |
+// | lineage_serve_addr     | LINEAGE_SERVE_ADDR     | "" (= no serving) |
+// | wire_codec             | WIRE_CODEC             | compact           |
+// | use_tcp                | —                      | off               |
+// | composed_unfolders     | —                      | off               |
+//
+// Accepted values: the flags 0 / 1; the counts non-negative decimals (a
+// batch size of 0 means 1); SCHEDULER thread-per-node / pool; WIRE_CODEC
+// compact / raw; LINEAGE_SERVE_ADDR host:port. An empty variable keeps the
+// default; any other spelling throws std::invalid_argument the first time
+// the default is read.
 //
 // batch_size is deliberately *not* read from the environment by the default
 // constructor: a plain `EngineOptions{}` is the engine default (batch 64,
 // with adaptive batching holding idle latency at the batch-1 seed level).
 // FromEnv() additionally honors GENEALOG_BATCH_SIZE — the bench harness and
 // ad-hoc tools use it so one exported variable sweeps a whole binary.
-//
-// epoch_traversal is a process-wide switch (the traversal fast path is a
-// global, not per-topology state); it rides here so option plumbing and
-// BENCH_*.json reporting see one struct, but flipping it on a copy does not
-// reconfigure a running process — use SetEpochTraversal for that.
 #ifndef GENEALOG_COMMON_ENGINE_OPTIONS_H_
 #define GENEALOG_COMMON_ENGINE_OPTIONS_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/env_knob.h"
@@ -64,9 +60,9 @@ enum class SchedulerMode : uint8_t { kThreadPerNode, kPool };
 //    another (a batch-size-1 deployment puts the seed's exact frame sequence
 //    on the wire);
 //  * kCompact — delta/zigzag/varint tuple ids and timestamps, per-channel
-//    dictionaries for node uids and tuple type descriptors, and (with
-//    wire_block_compress) an LZ block compressor over the encoded body when
-//    it wins. Sender-driven: the receiver decodes whatever codec each frame
+//    dictionaries for node uids and tuple type descriptors, and an LZ block
+//    compressor over the encoded body whenever it shrinks it.
+//    Sender-driven: the receiver decodes whatever codec each frame
 //    announces, so the knob only needs to reach the Send side.
 enum class WireCodec : uint8_t { kRaw = 0, kCompact = 1 };
 
@@ -74,69 +70,54 @@ namespace engine_defaults {
 
 // Each helper reads its environment variable once per process and caches the
 // result, so defaults cannot drift mid-run when a test mutates the
-// environment. These are the definitions the per-subsystem Default*()
-// functions (node.cc, provenance_sink.cc, traversal.cc) delegate to.
+// environment.
 inline bool AdaptiveBatch() {
-  static const bool v = EnvKnobEnabled("GENEALOG_ADAPTIVE_BATCH");
-  return v;
-}
-inline bool EpochTraversal() {
-  static const bool v = EnvKnobEnabled("GENEALOG_EPOCH_TRAVERSAL");
+  static const bool v = EnvFlagKnob("GENEALOG_ADAPTIVE_BATCH", true);
   return v;
 }
 inline bool AsyncProvSink() {
-  static const bool v = EnvKnobEnabled("GENEALOG_ASYNC_PROV_SINK");
+  static const bool v = EnvFlagKnob("GENEALOG_ASYNC_PROV_SINK", true);
   return v;
 }
 inline size_t BatchSize() {
   static const size_t v = [] {
-    const char* s = std::getenv("GENEALOG_BATCH_SIZE");
-    const int n = s != nullptr ? std::atoi(s) : 64;
+    const uint64_t n = EnvCountKnob("GENEALOG_BATCH_SIZE", 64);
     return static_cast<size_t>(n < 1 ? 1 : n);
   }();
   return v;
 }
+// The accepted spellings of GENEALOG_SCHEDULER (nullptr or "" = default).
+inline SchedulerMode ParseScheduler(const char* value) {
+  return ParseChoiceKnob<SchedulerMode>(
+      "GENEALOG_SCHEDULER", value,
+      {{"thread-per-node", SchedulerMode::kThreadPerNode},
+       {"pool", SchedulerMode::kPool}},
+      SchedulerMode::kThreadPerNode);
+}
 inline SchedulerMode Scheduler() {
-  static const SchedulerMode v = [] {
-    const char* s = std::getenv("GENEALOG_SCHEDULER");
-    if (s != nullptr && std::strcmp(s, "pool") == 0) {
-      return SchedulerMode::kPool;
-    }
-    // Anything else (unset, "thread-per-node", typos) keeps the safe
-    // thread-per-node fallback.
-    return SchedulerMode::kThreadPerNode;
-  }();
+  static const SchedulerMode v =
+      ParseScheduler(std::getenv("GENEALOG_SCHEDULER"));
   return v;
 }
 inline size_t Workers() {
-  static const size_t v = [] {
-    const char* s = std::getenv("GENEALOG_WORKERS");
-    const int n = s != nullptr ? std::atoi(s) : 0;
-    return static_cast<size_t>(n < 0 ? 0 : n);
-  }();
+  static const size_t v = EnvCountKnob("GENEALOG_WORKERS", 0);
   return v;
 }
 // The lineage store is the one opt-in knob: it buys a live query surface at
 // the price of retaining records in memory, so it must cost nothing unless
 // asked for (GENEALOG_LINEAGE_STORE unset/0 == off).
 inline bool LineageStore() {
-  static const bool v = EnvKnobOptIn("GENEALOG_LINEAGE_STORE");
+  static const bool v = EnvFlagKnob("GENEALOG_LINEAGE_STORE", false);
   return v;
 }
 inline size_t LineageRetainRecords() {
-  static const size_t v = [] {
-    const char* s = std::getenv("GENEALOG_LINEAGE_RETAIN_RECORDS");
-    const long long n = s != nullptr ? std::atoll(s) : (1ll << 20);
-    return static_cast<size_t>(n < 0 ? 0 : n);
-  }();
+  static const size_t v =
+      EnvCountKnob("GENEALOG_LINEAGE_RETAIN_RECORDS", 1u << 20);
   return v;
 }
 inline int64_t LineageRetainSpan() {
-  static const int64_t v = [] {
-    const char* s = std::getenv("GENEALOG_LINEAGE_RETAIN_SPAN");
-    const long long n = s != nullptr ? std::atoll(s) : 0;
-    return static_cast<int64_t>(n < 0 ? 0 : n);
-  }();
+  static const int64_t v =
+      static_cast<int64_t>(EnvCountKnob("GENEALOG_LINEAGE_RETAIN_SPAN", 0));
   return v;
 }
 inline std::string LineageServeAddr() {
@@ -146,21 +127,18 @@ inline std::string LineageServeAddr() {
   }();
   return v;
 }
-inline WireCodec WireCodecDefault() {
-  static const WireCodec v = [] {
-    const char* s = std::getenv("GENEALOG_WIRE_CODEC");
-    if (s != nullptr && std::strcmp(s, "raw") == 0) {
-      return WireCodec::kRaw;
-    }
-    // Compact is the default since its one-release soak (PR 9 shipped it,
-    // equivalence suites pin decoded streams byte-identical); "raw" keeps
-    // the seed wire format as the fallback.
-    return WireCodec::kCompact;
-  }();
-  return v;
+// The accepted spellings of GENEALOG_WIRE_CODEC (nullptr or "" = default).
+// Compact is the default since its one-release soak (equivalence suites pin
+// decoded streams byte-identical); "raw" keeps the seed wire format.
+inline WireCodec ParseWireCodec(const char* value) {
+  return ParseChoiceKnob<WireCodec>(
+      "GENEALOG_WIRE_CODEC", value,
+      {{"compact", WireCodec::kCompact}, {"raw", WireCodec::kRaw}},
+      WireCodec::kCompact);
 }
-inline bool WireBlockCompress() {
-  static const bool v = EnvKnobEnabled("GENEALOG_WIRE_BLOCK_COMPRESS");
+inline WireCodec WireCodecDefault() {
+  static const WireCodec v =
+      ParseWireCodec(std::getenv("GENEALOG_WIRE_CODEC"));
   return v;
 }
 
@@ -174,9 +152,6 @@ struct EngineOptions {
   // Endpoints steer their flush threshold within [1, batch_size] from
   // consumer queue depth (static threshold when false).
   bool adaptive_batch = engine_defaults::AdaptiveBatch();
-  // Mark-word epoch fast path in FindProvenance. Process-wide; informational
-  // in per-query options (see header comment).
-  bool epoch_traversal = engine_defaults::EpochTraversal();
   // Double-buffered background provenance-file writer (sync fwrite when
   // false). File bytes are identical either way.
   bool async_prov_sink = engine_defaults::AsyncProvSink();
@@ -212,10 +187,6 @@ struct EngineOptions {
   // frames and is decoded back to the exact raw tuple stream;
   // GENEALOG_WIRE_CODEC=raw keeps the seed wire format.
   WireCodec wire_codec = engine_defaults::WireCodecDefault();
-  // Under kCompact, additionally run the dependency-free LZ block compressor
-  // over each encoded frame body and keep the compressed form when smaller.
-  // Ignored under kRaw.
-  bool wire_block_compress = engine_defaults::WireBlockCompress();
   // Distributed deployments: TCP loopback channels when true, in-memory
   // serializing channels otherwise.
   bool use_tcp = false;

@@ -7,11 +7,6 @@
 
 namespace genealog {
 
-bool DefaultAsyncProvSink() {
-  const bool enabled = engine_defaults::AsyncProvSink();
-  return enabled;
-}
-
 ProvenanceSinkNode::ProvenanceSinkNode(std::string name,
                                        ProvenanceSinkSpec options)
     : SingleInputNode(std::move(name)), options_(std::move(options)) {

@@ -38,10 +38,6 @@ namespace genealog {
 
 class LineageStore;
 
-// Process-wide default for the asynchronous provenance writer, read from the
-// environment once (on unless GENEALOG_ASYNC_PROV_SINK=0).
-bool DefaultAsyncProvSink();
-
 // What a provenance sink does with finalized records. Engine-wide knobs
 // (async writer on/off, writer buffer size) live in the embedded
 // EngineOptions — one struct, one FromEnv() — so this spec only adds the

@@ -371,13 +371,9 @@ std::vector<uint8_t> FrameEncoder::EncodeCompactBatch(
   frame.PutU8(static_cast<uint8_t>(FrameKind::kCompactBatch));
   frame.PutU8(generation_);
   uint8_t flags = has_wm ? kFlagHasWatermark : 0;
-  std::vector<uint8_t> compressed;
-  if (opts_.block_compress) {
-    compressed = LzBlockCompress(body_bytes);
-    if (compressed.size() + VarintSize(body_bytes.size()) <
-        body_bytes.size()) {
-      flags |= kFlagCompressed;
-    }
+  const std::vector<uint8_t> compressed = LzBlockCompress(body_bytes);
+  if (compressed.size() + VarintSize(body_bytes.size()) < body_bytes.size()) {
+    flags |= kFlagCompressed;
   }
   frame.PutU8(flags);
   if ((flags & kFlagCompressed) != 0) {
@@ -398,7 +394,7 @@ std::vector<std::vector<uint8_t>> FrameEncoder::EncodeBatch(
     std::span<const TuplePtr> tuples, int64_t watermark, bool remotify) {
   const bool has_wm = watermark != kNoWatermark;
   std::vector<std::vector<uint8_t>> frames;
-  if (opts_.codec == WireCodec::kCompact) {
+  if (codec_ == WireCodec::kCompact) {
     if (tuples.empty() && !has_wm) return frames;
     std::vector<const Tuple*> ptrs;
     ptrs.reserve(tuples.size());
@@ -426,7 +422,7 @@ std::vector<std::vector<uint8_t>> FrameEncoder::EncodeBatch(
 }
 
 std::vector<uint8_t> FrameEncoder::EncodeTuple(const Tuple& t, bool remotify) {
-  if (opts_.codec == WireCodec::kCompact) {
+  if (codec_ == WireCodec::kCompact) {
     const Tuple* ptr = &t;
     return EncodeCompactBatch(std::span<const Tuple* const>(&ptr, 1),
                               kNoWatermark, remotify);

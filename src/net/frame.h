@@ -17,9 +17,10 @@
 //    dictionary-coded per channel, sequences are delta-encoded against the
 //    per-uid previous value, and timestamps/stimuli against a running
 //    previous, all as zigzag varints. Payload bytes are the registered
-//    SerializePayload encoding, unchanged. Optionally the whole encoded body
-//    runs through the dependency-free LZ block compressor and ships
-//    compressed when that wins.
+//    SerializePayload encoding, unchanged. The whole encoded body then runs
+//    through the dependency-free LZ block compressor and ships compressed
+//    only when that is smaller (see FrameEncoder); the decoder accepts both
+//    body forms.
 //
 //    Dictionaries are sender-driven and build incrementally: every entry is
 //    defined inline ((index << 1) | 1 followed by the definition) the first
@@ -118,20 +119,10 @@ std::vector<uint8_t> LzBlockDecompress(std::span<const uint8_t> in,
 
 // --- compact codec (stateful) -----------------------------------------------
 
-// The Send-side knobs, lowered from EngineOptions by the deployment
-// assemblers. Sender-driven: the receiver decodes whatever codec each frame
-// announces, so no receive-side configuration exists.
-struct WireCodecOptions {
-  WireCodec codec = WireCodec::kRaw;
-  // Under kCompact, additionally LZ-compress each encoded body and keep the
-  // compressed form when smaller. Ignored under kRaw.
-  bool block_compress = true;
-};
-
-// The wire slice of the unified knob struct, for the deployment assemblers.
-inline WireCodecOptions WireCodecFrom(const EngineOptions& o) {
-  return {o.wire_codec, o.wire_block_compress};
-}
+// The wire slice of the unified knob struct: the Send-side codec.
+// Sender-driven: the receiver decodes whatever codec each frame announces,
+// so no receive-side configuration exists.
+inline WireCodec WireCodecFrom(const EngineOptions& o) { return o.wire_codec; }
 
 // Per-channel wire accounting. raw_bytes is what the raw codec would have
 // put on the wire for the same input (for kRaw the two columns are equal),
@@ -159,10 +150,12 @@ struct WireStats {
 // EncodeBatch returns the frame sequence the raw Send path would have
 // produced for the same StreamBatch under kRaw (batch frame, or per-event
 // frames for a degenerate batch), and a single kCompactBatch frame under
-// kCompact; watermark and flush frames are raw under either codec.
+// kCompact; watermark and flush frames are raw under either codec. A compact
+// frame carries its body LZ-compressed (kFlagCompressed) exactly when the
+// compressed body plus its varint raw size is smaller than the raw body.
 class FrameEncoder {
  public:
-  explicit FrameEncoder(WireCodecOptions opts = {}) : opts_(opts) {}
+  explicit FrameEncoder(WireCodec codec = WireCodec::kRaw) : codec_(codec) {}
 
   std::vector<std::vector<uint8_t>> EncodeBatch(
       std::span<const TuplePtr> tuples, int64_t watermark, bool remotify);
@@ -174,14 +167,13 @@ class FrameEncoder {
   // the stream can resume against a decoder in any state (reconnect).
   void Reset();
 
-  const WireCodecOptions& options() const { return opts_; }
   const WireStats& stats() const { return stats_; }
 
  private:
   std::vector<uint8_t> EncodeCompactBatch(std::span<const Tuple* const> tuples,
                                           int64_t watermark, bool remotify);
 
-  WireCodecOptions opts_;
+  WireCodec codec_;
   WireStats stats_;
 
   // Compact-codec state. Descriptor keys pack (type_tag << 16 | wire kind

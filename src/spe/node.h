@@ -43,11 +43,6 @@ inline constexpr size_t kDefaultBatchSize = 64;
 inline constexpr int64_t kWatermarkMin = std::numeric_limits<int64_t>::min();
 inline constexpr int64_t kWatermarkMax = std::numeric_limits<int64_t>::max();
 
-// Process-wide default for adaptive batching, read from the environment
-// once: GENEALOG_ADAPTIVE_BATCH=0 pins the static (seed) flush threshold.
-// Defaults on; Topology::set_adaptive_batch overrides per topology.
-bool DefaultAdaptiveBatch();
-
 // The physical stream between two operator threads: one BatchQueue (mutex +
 // condvar, weight-bounded, tail-coalescing) plus the pool scheduler's
 // readiness plumbing. Every edge shape — one producer, producer fan-in

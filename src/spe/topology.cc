@@ -35,8 +35,8 @@ void Topology::AbortAll() {
   for (Abortable* resource : abortables_) resource->Abort();
 }
 
-Runner::Runner(std::vector<Topology*> topologies, RunnerOptions options)
-    : topologies_(std::move(topologies)), options_(options) {}
+Runner::Runner(std::vector<Topology*> topologies)
+    : topologies_(std::move(topologies)) {}
 
 Runner::~Runner() {
   if (started_ && !joined_) {
@@ -60,19 +60,14 @@ void Runner::RecordFailure(std::exception_ptr error) {
 void Runner::Start() {
   started_ = true;
 
-  // Resolve the effective mode: an explicit override wins; otherwise the
-  // pool runs only when every topology asked for it.
-  if (options_.scheduler.has_value()) {
-    scheduler_ = *options_.scheduler;
-  } else {
-    scheduler_ = SchedulerMode::kPool;
-    for (Topology* topology : topologies_) {
-      if (topology->scheduler() != SchedulerMode::kPool) {
-        scheduler_ = SchedulerMode::kThreadPerNode;
-        break;
-      }
+  // The pool runs only when every topology asked for it.
+  scheduler_ = topologies_.empty() ? SchedulerMode::kThreadPerNode
+                                   : SchedulerMode::kPool;
+  for (Topology* topology : topologies_) {
+    if (topology->scheduler() != SchedulerMode::kPool) {
+      scheduler_ = SchedulerMode::kThreadPerNode;
+      break;
     }
-    if (topologies_.empty()) scheduler_ = SchedulerMode::kThreadPerNode;
   }
 
   auto spawn_thread = [this](Node* raw) {
@@ -97,12 +92,8 @@ void Runner::Start() {
   // fairness bucket; nodes that block on non-queue resources (network, rate
   // limiter clocks, unknown node types) keep dedicated threads.
   WorkerPoolOptions pool_options;
-  if (options_.workers.has_value()) {
-    pool_options.workers = *options_.workers;
-  } else {
-    for (Topology* topology : topologies_) {
-      pool_options.workers = std::max(pool_options.workers, topology->workers());
-    }
+  for (Topology* topology : topologies_) {
+    pool_options.workers = std::max(pool_options.workers, topology->workers());
   }
   pool_ = std::make_unique<WorkerPool>(pool_options);
   std::vector<Node*> pinned;

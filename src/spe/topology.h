@@ -1,8 +1,10 @@
 // Query topology and execution.
 //
 // A Topology owns the operator nodes of one SPE instance and wires streams
-// between them; a Runner executes one or more topologies, one thread per node
-// (the Liebre model), propagating the first failure by aborting all queues.
+// between them; a Runner executes one or more topologies — one thread per
+// node (the Liebre model) or on the shared worker pool (spe/scheduler.h),
+// whichever the topologies ask for — propagating the first failure by
+// aborting all queues.
 #ifndef GENEALOG_SPE_TOPOLOGY_H_
 #define GENEALOG_SPE_TOPOLOGY_H_
 
@@ -10,7 +12,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -57,7 +58,7 @@ class Topology {
   // Execution model requested for this topology (default from
   // GENEALOG_SCHEDULER): thread-per-node, or the shared morsel-driven worker
   // pool. The Runner resolves the effective mode across all its topologies
-  // (see RunnerOptions).
+  // (see Runner).
   SchedulerMode scheduler() const { return scheduler_; }
   void set_scheduler(SchedulerMode mode) { scheduler_ = mode; }
 
@@ -68,8 +69,8 @@ class Topology {
 
   // Stamps the data-plane subset of a unified EngineOptions (batch size,
   // adaptive batching, scheduler) in one call; the per-knob setters above
-  // remain for targeted overrides. The process-wide epoch_traversal knob and
-  // the provenance-sink policy are not topology state and are ignored here.
+  // remain for targeted overrides. The provenance-sink policy is not
+  // topology state and is ignored here.
   void Configure(const EngineOptions& engine) {
     set_default_batch_size(engine.batch_size);
     set_adaptive_batch(engine.adaptive_batch);
@@ -113,7 +114,7 @@ class Topology {
   int instance_id_;
   ProvenanceMode mode_;
   size_t default_batch_size_ = kDefaultBatchSize;
-  bool adaptive_batch_ = DefaultAdaptiveBatch();
+  bool adaptive_batch_ = engine_defaults::AdaptiveBatch();
   SchedulerMode scheduler_ = engine_defaults::Scheduler();
   size_t workers_ = engine_defaults::Workers();
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -122,21 +123,14 @@ class Topology {
 
 class WorkerPool;
 
-// Execution overrides a harness can impose on a Runner regardless of what the
-// individual topologies were configured with (benches compare modes on the
-// same topology objects this way).
-struct RunnerOptions {
-  // Unset: pool mode iff every topology asked for it (mixed requests fall
-  // back to thread-per-node, the conservative mode).
-  std::optional<SchedulerMode> scheduler;
-  // Unset: the max of the topologies' nonzero worker counts (0 = auto).
-  std::optional<size_t> workers;
-};
-
 // Runs topologies to completion. Usage:
 //   Runner runner({&t1, &t2});
 //   runner.Start();
 //   runner.Join();   // rethrows the first node failure, if any
+//
+// The pool runs only when every topology asked for it (mixed requests fall
+// back to thread-per-node, the conservative mode), with the max of the
+// topologies' worker counts (0 = auto).
 //
 // Thread-per-node mode gives every node its own thread (the Liebre model).
 // Pool mode hands schedulable nodes to one shared morsel-driven WorkerPool
@@ -144,7 +138,7 @@ struct RunnerOptions {
 // report NeedsDedicatedThread() keep a thread of their own either way.
 class Runner {
  public:
-  explicit Runner(std::vector<Topology*> topologies, RunnerOptions options = {});
+  explicit Runner(std::vector<Topology*> topologies);
   ~Runner();
   Runner(const Runner&) = delete;
   Runner& operator=(const Runner&) = delete;
@@ -155,7 +149,7 @@ class Runner {
   // Cooperative teardown: aborts every queue; nodes unwind promptly.
   void Abort();
 
-  // Effective mode after resolving overrides (valid after Start).
+  // Effective mode resolved from the topologies (valid after Start).
   SchedulerMode scheduler() const { return scheduler_; }
   const WorkerPool* pool() const { return pool_.get(); }
 
@@ -163,7 +157,6 @@ class Runner {
   void RecordFailure(std::exception_ptr error);
 
   std::vector<Topology*> topologies_;
-  RunnerOptions options_;
   SchedulerMode scheduler_ = SchedulerMode::kThreadPerNode;
   std::vector<std::thread> threads_;
   std::unique_ptr<WorkerPool> pool_;

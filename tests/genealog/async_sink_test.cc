@@ -132,7 +132,7 @@ TEST(AsyncProvenanceSinkTest, EnvDefaultIsHonoredWhenUnset) {
   ProvenanceSinkSpec pso;
   pso.file_path = path;
   auto* prov = topo.Add<ProvenanceSinkNode>("k2", pso);
-  EXPECT_EQ(prov->async(), DefaultAsyncProvSink());
+  EXPECT_EQ(prov->async(), engine_defaults::AsyncProvSink());
   topo.Connect(source, su);
   topo.Connect(su, sink);
   topo.Connect(su, prov);

@@ -105,10 +105,15 @@ TEST(FailureTest, MalformedFrameErrorNamesNodeAndFrameKind) {
 TEST(FailureTest, CorruptCompactFrameErrorNamesTheCodec) {
   // A compact frame whose dictionary references dangle (mid-stream join)
   // must name the compact codec in the error, not decode garbage.
-  FrameEncoder encoder({WireCodec::kCompact, false});
+  // The referencing tuple's deltas and payload hold no 4-byte repeat, so LZ
+  // cannot shrink the body and it travels uncompressed.
+  FrameEncoder encoder(WireCodec::kCompact);
   std::vector<TuplePtr> batch = {V(1, 1)};
   encoder.EncodeBatch(batch, kNoWatermark, false);  // defines the dictionary
+  batch[0] = V(1'000'003, 0x0102030405060708);
+  batch[0]->stimulus = 777'777;
   auto frames = encoder.EncodeBatch(batch, kNoWatermark, false);  // references
+  ASSERT_EQ(frames[0].at(2) & 0x1, 0) << "body unexpectedly LZ-compressed";
 
   InMemoryChannel channel;
   channel.SendFrame(std::move(frames[0]));

@@ -76,6 +76,26 @@ TuplePtr RandomTuple(std::mt19937_64& rng, int64_t i) {
   return t;
 }
 
+// A batch whose compact body LZ cannot shrink: full-range random ids,
+// timestamps, stimuli and payloads leave no 4-byte repeat to match, so the
+// encoder ships the body uncompressed.
+std::vector<TuplePtr> IncompressibleBatch(std::mt19937_64& rng, int n) {
+  std::vector<TuplePtr> batch;
+  for (int i = 0; i < n; ++i) {
+    auto t = V(static_cast<int64_t>(rng() >> 2), static_cast<int64_t>(rng()));
+    t->id = rng();
+    t->stimulus = static_cast<int64_t>(rng() >> 2);
+    batch.push_back(t);
+  }
+  return batch;
+}
+
+// Compact frame layout: u8 kind | u8 generation | u8 flags | ...; flags bit 0
+// marks an LZ-compressed body.
+bool IsCompressed(const std::vector<uint8_t>& frame) {
+  return (frame.at(2) & 0x1) != 0;
+}
+
 TEST(FrameCodecTest, CompactBatchRoundTripsAllFields) {
   std::vector<TuplePtr> batch;
   for (int i = 0; i < 10; ++i) {
@@ -85,7 +105,7 @@ TEST(FrameCodecTest, CompactBatchRoundTripsAllFields) {
     t->stimulus = 1000000 + i;
     batch.push_back(t);
   }
-  FrameEncoder encoder({WireCodec::kCompact, true});
+  FrameEncoder encoder(WireCodec::kCompact);
   auto frames = encoder.EncodeBatch(batch, /*watermark=*/109, false);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0][0], static_cast<uint8_t>(FrameKind::kCompactBatch));
@@ -111,7 +131,7 @@ TEST(FrameCodecTest, CompactEqualsRawAtEveryBatchSize) {
       for (auto [codec, decoded, wms] :
            {std::tuple{WireCodec::kRaw, &raw_decoded, &raw_wms},
             std::tuple{WireCodec::kCompact, &compact_decoded, &compact_wms}}) {
-        FrameEncoder encoder({codec, true});
+        FrameEncoder encoder(codec);
         FrameDecoder decoder;
         for (size_t i = 0; i < stream.size(); i += batch_size) {
           const size_t n = std::min(batch_size, stream.size() - i);
@@ -134,9 +154,8 @@ TEST(FrameCodecTest, CompactEqualsRawAtEveryBatchSize) {
 TEST(FrameCodecTest, FuzzRandomBatchesWatermarksAndResets) {
   std::mt19937_64 rng(1234);
   for (int round = 0; round < 30; ++round) {
-    FrameEncoder raw_enc({WireCodec::kRaw, false});
-    FrameEncoder compact_enc(
-        {WireCodec::kCompact, /*block_compress=*/round % 2 == 0});
+    FrameEncoder raw_enc(WireCodec::kRaw);
+    FrameEncoder compact_enc(WireCodec::kCompact);
     FrameDecoder raw_dec, compact_dec;
     std::vector<TuplePtr> raw_out, compact_out;
     std::vector<int64_t> raw_wms, compact_wms;
@@ -175,7 +194,7 @@ TEST(FrameCodecTest, FuzzRandomBatchesWatermarksAndResets) {
 TEST(FrameCodecTest, EncoderResetIsDecoderSafe) {
   // A decoder that followed generation 0 must survive the sender resetting:
   // the first post-reset frame redefines every dictionary entry it uses.
-  FrameEncoder encoder({WireCodec::kCompact, true});
+  FrameEncoder encoder(WireCodec::kCompact);
   FrameDecoder decoder;
   std::vector<TuplePtr> batch = {V(10, 1), V(11, 2)};
   for (auto& t : batch) t->id = (uint64_t{3} << 40) | 1;
@@ -190,24 +209,35 @@ TEST(FrameCodecTest, EncoderResetIsDecoderSafe) {
 
 TEST(FrameCodecTest, FreshDecoderRejectsDanglingDictionaryReferences) {
   // Joining a compact stream mid-generation (frame 2 references entries
-  // defined in frame 1) must fail loudly, not fabricate tuples.
-  FrameEncoder encoder({WireCodec::kCompact, false});
-  std::vector<TuplePtr> batch = {V(1, 1)};
-  auto first = encoder.EncodeBatch(batch, kNoWatermark, false);
-  auto second = encoder.EncodeBatch(batch, kNoWatermark, false);
-  FrameDecoder fresh;
-  EXPECT_THROW(fresh.Decode(second[0]), std::runtime_error);
+  // defined in frame 1) must fail loudly, not fabricate tuples — whether
+  // the body travels uncompressed or LZ-compressed.
+  std::mt19937_64 rng(5);
+  std::vector<TuplePtr> runs;
+  for (int64_t i = 0; i < 32; ++i) {
+    auto t = V(i, 7);
+    t->id = (uint64_t{1} << 40) | static_cast<uint64_t>(i + 1);
+    runs.push_back(t);
+  }
+  for (const auto& batch : {IncompressibleBatch(rng, 8), runs}) {
+    FrameEncoder encoder(WireCodec::kCompact);
+    auto first = encoder.EncodeBatch(batch, kNoWatermark, false);
+    auto second = encoder.EncodeBatch(batch, kNoWatermark, false);
+    EXPECT_EQ(IsCompressed(second[0]), batch.size() == runs.size());
+    FrameDecoder fresh;
+    EXPECT_THROW(fresh.Decode(second[0]), std::runtime_error);
+  }
 }
 
 TEST(FrameCodecTest, TruncatedCompactFramesAreRejected) {
   std::mt19937_64 rng(7);
-  for (bool compress : {false, true}) {
-    FrameEncoder encoder({WireCodec::kCompact, compress});
-    std::vector<TuplePtr> batch;
-    for (int64_t i = 0; i < 32; ++i) batch.push_back(RandomTuple(rng, i));
+  std::vector<TuplePtr> compressible;
+  for (int64_t i = 0; i < 32; ++i) compressible.push_back(RandomTuple(rng, i));
+  for (const auto& batch : {IncompressibleBatch(rng, 8), compressible}) {
+    FrameEncoder encoder(WireCodec::kCompact);
     auto frames = encoder.EncodeBatch(batch, /*watermark=*/99, false);
     ASSERT_EQ(frames.size(), 1u);
     const auto& full = frames[0];
+    EXPECT_EQ(IsCompressed(full), batch.size() == compressible.size());
     for (size_t len = 0; len < full.size(); ++len) {
       std::vector<uint8_t> cut(full.begin(), full.begin() + len);
       FrameDecoder decoder;
@@ -220,27 +250,79 @@ TEST(FrameCodecTest, CorruptCompactBodyIsRejectedOrEquivalent) {
   // Flipping bytes must never crash; it either throws or yields a frame that
   // still parses (e.g. a flipped payload bit). Nothing should hang or UB.
   std::mt19937_64 rng(11);
-  FrameEncoder encoder({WireCodec::kCompact, true});
-  std::vector<TuplePtr> batch;
-  for (int64_t i = 0; i < 16; ++i) batch.push_back(RandomTuple(rng, i));
-  auto frames = encoder.EncodeBatch(batch, 5, false);
-  for (int trial = 0; trial < 200; ++trial) {
-    auto corrupt = frames[0];
-    corrupt[rng() % corrupt.size()] ^= static_cast<uint8_t>(1 + rng() % 255);
-    FrameDecoder decoder;
-    try {
-      decoder.Decode(corrupt);
-    } catch (const std::exception&) {
-      // rejected: fine
+  std::vector<TuplePtr> compressible;
+  for (int64_t i = 0; i < 16; ++i) compressible.push_back(RandomTuple(rng, i));
+  for (const auto& batch : {IncompressibleBatch(rng, 8), compressible}) {
+    FrameEncoder encoder(WireCodec::kCompact);
+    auto frames = encoder.EncodeBatch(batch, 5, false);
+    EXPECT_EQ(IsCompressed(frames[0]), batch.size() == compressible.size());
+    for (int trial = 0; trial < 200; ++trial) {
+      auto corrupt = frames[0];
+      corrupt[rng() % corrupt.size()] ^= static_cast<uint8_t>(1 + rng() % 255);
+      FrameDecoder decoder;
+      try {
+        decoder.Decode(corrupt);
+      } catch (const std::exception&) {
+        // rejected: fine
+      }
     }
   }
 }
 
 TEST(FrameCodecTest, StatelessDecodeFrameRejectsCompactFrames) {
-  FrameEncoder encoder({WireCodec::kCompact, false});
-  std::vector<TuplePtr> batch = {V(1, 1)};
-  auto frames = encoder.EncodeBatch(batch, kNoWatermark, false);
-  EXPECT_THROW(DecodeFrame(frames[0]), std::runtime_error);
+  std::mt19937_64 rng(13);
+  std::vector<TuplePtr> runs;
+  for (int64_t i = 0; i < 32; ++i) runs.push_back(V(i, 7));
+  for (const auto& batch : {IncompressibleBatch(rng, 4), runs}) {
+    FrameEncoder encoder(WireCodec::kCompact);
+    auto frames = encoder.EncodeBatch(batch, kNoWatermark, false);
+    EXPECT_EQ(IsCompressed(frames[0]), batch.size() == runs.size());
+    EXPECT_THROW(DecodeFrame(frames[0]), std::runtime_error);
+  }
+}
+
+TEST(FrameCodecTest, BodyIsCompressedExactlyWhenLzShrinksIt) {
+  // The encoder's rule: a compact frame carries the LZ body (behind a varint
+  // raw size) iff that is strictly smaller than the raw body.
+  std::mt19937_64 rng(17);
+  int compressed = 0;
+  int uncompressed = 0;
+  for (int round = 0; round < 200; ++round) {
+    const int n = 1 + static_cast<int>(rng() % 48);
+    std::vector<TuplePtr> batch;
+    if (round % 2 == 0) {
+      batch = IncompressibleBatch(rng, n);
+    } else {
+      for (int64_t i = 0; i < n; ++i) batch.push_back(RandomTuple(rng, i));
+    }
+    FrameEncoder encoder(WireCodec::kCompact);
+    const auto frames = encoder.EncodeBatch(batch, kNoWatermark, false);
+    ASSERT_EQ(frames.size(), 1u);
+    const std::vector<uint8_t>& frame = frames[0];
+    ByteReader header(frame.data() + 3, frame.size() - 3);
+    std::vector<uint8_t> body;
+    if (IsCompressed(frame)) {
+      ++compressed;
+      const uint64_t raw_size = GetVarint(header);
+      const std::vector<uint8_t> lz(frame.end() - header.remaining(),
+                                    frame.end());
+      body = LzBlockDecompress(lz, raw_size);
+      EXPECT_LT(lz.size() + VarintSize(raw_size), body.size()) << round;
+    } else {
+      ++uncompressed;
+      body.assign(frame.begin() + 3, frame.end());
+      EXPECT_GE(LzBlockCompress(body).size() + VarintSize(body.size()),
+                body.size())
+          << round;
+    }
+    // Either form decodes to the batch.
+    FrameDecoder decoder;
+    EXPECT_EQ(CanonicalBytes(DecodeAll(decoder, frames)),
+              CanonicalBytes(batch))
+        << round;
+  }
+  EXPECT_GT(compressed, 0);
+  EXPECT_GT(uncompressed, 0);
 }
 
 TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
@@ -251,8 +333,8 @@ TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
     batch.push_back(t);
   }
   // raw_bytes under kCompact must equal what the raw codec actually ships.
-  FrameEncoder raw_enc({WireCodec::kRaw, false});
-  FrameEncoder compact_enc({WireCodec::kCompact, true});
+  FrameEncoder raw_enc(WireCodec::kRaw);
+  FrameEncoder compact_enc(WireCodec::kCompact);
   raw_enc.EncodeBatch(batch, 63, true);
   compact_enc.EncodeBatch(batch, 63, true);
   EXPECT_EQ(compact_enc.stats().raw_bytes, raw_enc.stats().raw_bytes);
@@ -261,8 +343,8 @@ TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
   EXPECT_EQ(compact_enc.stats().frames, 1u);
 
   // Degenerate batch-of-1 plus watermark: the raw path ships two frames.
-  FrameEncoder raw1({WireCodec::kRaw, false});
-  FrameEncoder compact1({WireCodec::kCompact, true});
+  FrameEncoder raw1(WireCodec::kRaw);
+  FrameEncoder compact1(WireCodec::kCompact);
   std::vector<TuplePtr> one = {batch[0]};
   raw1.EncodeBatch(one, 5, true);
   compact1.EncodeBatch(one, 5, true);

@@ -1,8 +1,8 @@
-// The provenance plane's fast paths must be invisible in the data: full Q1
+// The provenance plane's fast path must be invisible in the data: full Q1
 // GL runs (intra-process and distributed) must record the same provenance
-// and produce identical (exactly ordered) sink streams across
-// GENEALOG_EPOCH_TRAVERSAL × GENEALOG_ASYNC_PROV_SINK. The epoch mark-word
-// traversal and the double-buffered async writer can change only where time
+// and produce identical (exactly ordered) sink streams with the
+// double-buffered async writer as with the sync fwrite reference
+// (GENEALOG_ASYNC_PROV_SINK). The async writer can change only where time
 // is spent, never what is recorded. Cross-run equality is checked on the
 // parsed records in canonical order, like the repo's other determinism
 // suites: raw file bytes embed per-run wall-clock stimuli and
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/type_registry.h"
-#include "genealog/traversal.h"
 #include "lr/linear_road.h"
 #include "queries/queries.h"
 #include "queries/query_helpers.h"
@@ -68,15 +67,6 @@ std::vector<FileRecord> ParseProvenanceFile(const std::string& path) {
   return records;
 }
 
-class ProvenancePlaneDeterminismTest : public ::testing::Test {
- protected:
-  void SetUp() override { epoch_was_ = EpochTraversalEnabled(); }
-  void TearDown() override { SetEpochTraversal(epoch_was_); }
-
- private:
-  bool epoch_was_ = true;
-};
-
 lr::LinearRoadData SmallLr() {
   lr::LinearRoadConfig config;
   config.n_cars = 30;
@@ -91,9 +81,8 @@ struct Q1Artifacts {
   std::vector<std::string> ordered_sink;    // sink stream, in emission order
 };
 
-Q1Artifacts RunQ1(const lr::LinearRoadData& data, bool epoch, bool async,
+Q1Artifacts RunQ1(const lr::LinearRoadData& data, bool async,
                   bool distributed) {
-  SetEpochTraversal(epoch);
   const std::string path = ::testing::TempDir() + "/prov_plane_sweep.bin";
   Q1Artifacts out;
   QueryBuildOptions options;
@@ -113,27 +102,18 @@ Q1Artifacts RunQ1(const lr::LinearRoadData& data, bool epoch, bool async,
 }
 
 void SweepAgainstReference(const lr::LinearRoadData& data, bool distributed) {
-  const Q1Artifacts reference =
-      RunQ1(data, /*epoch=*/false, /*async=*/false, distributed);
+  const Q1Artifacts reference = RunQ1(data, /*async=*/false, distributed);
   ASSERT_FALSE(reference.records.empty());
-  for (const bool epoch : {false, true}) {
-    for (const bool async : {false, true}) {
-      if (!epoch && !async) continue;
-      const Q1Artifacts got = RunQ1(data, epoch, async, distributed);
-      EXPECT_EQ(got.records, reference.records)
-          << "epoch=" << epoch << " async=" << async;
-      EXPECT_EQ(got.ordered_sink, reference.ordered_sink)
-          << "epoch=" << epoch << " async=" << async;
-    }
-  }
+  const Q1Artifacts got = RunQ1(data, /*async=*/true, distributed);
+  EXPECT_EQ(got.records, reference.records);
+  EXPECT_EQ(got.ordered_sink, reference.ordered_sink);
 }
 
-TEST_F(ProvenancePlaneDeterminismTest, IntraSweepRecordsIdentical) {
+TEST(ProvenancePlaneDeterminismTest, IntraSweepRecordsIdentical) {
   SweepAgainstReference(SmallLr(), /*distributed=*/false);
 }
 
-TEST_F(ProvenancePlaneDeterminismTest,
-       DistributedSweepRecordsIdentical) {
+TEST(ProvenancePlaneDeterminismTest, DistributedSweepRecordsIdentical) {
   SweepAgainstReference(SmallLr(), /*distributed=*/true);
 }
 

@@ -249,9 +249,8 @@ TEST(SchedulerTest, RunnerDestructorAbortsUnjoinedPoolRun) {
   SUCCEED();
 }
 
-// Mode resolution: the pool engages only when every topology opted in, and a
-// RunnerOptions override beats the topologies either way.
-TEST(SchedulerTest, RunnerResolvesSchedulerFromTopologiesAndOverride) {
+// Mode resolution: the pool engages only when every topology opted in.
+TEST(SchedulerTest, RunnerResolvesSchedulerFromTopologies) {
   auto make = [](int id, SchedulerMode mode, Collector& c) {
     auto topo = std::make_unique<Topology>(id);
     topo->set_scheduler(mode);
@@ -281,17 +280,8 @@ TEST(SchedulerTest, RunnerResolvesSchedulerFromTopologiesAndOverride) {
     runner.Start();
     runner.Join();
     EXPECT_EQ(runner.scheduler(), SchedulerMode::kThreadPerNode);
-  }
-  {
-    Collector c1;
-    auto t1 = make(1, SchedulerMode::kThreadPerNode, c1);
-    RunnerOptions options;
-    options.scheduler = SchedulerMode::kPool;
-    Runner runner({t1.get()}, options);
-    runner.Start();
-    runner.Join();
-    EXPECT_EQ(runner.scheduler(), SchedulerMode::kPool);
     EXPECT_EQ(c1.tuples().size(), 5u);
+    EXPECT_EQ(c2.tuples().size(), 5u);
   }
 }
 
